@@ -20,7 +20,9 @@ import numpy as np
 
 from .grid import ScalarField, curl_array, div_array, mean_and_measure
 from .laws import evaluate_laws
-from .momentum import SolverOptions, compute_S, solve_poisson_zero_mean
+from .momentum import SolverOptions, compute_S
+# perfbench/tracing.py wraps this binding; keep it importable from here
+from .momentum import solve_poisson_zero_mean  # noqa: F401
 
 __all__ = [
     "CSV_COLUMNS",
@@ -79,14 +81,14 @@ class DiagnosticsRecord:
         return [getattr(self, name) for name in CSV_COLUMNS]
 
 
-def _flux_pieces(rho, u, f, params, opts, s_prev=None):
+def _flux_pieces(rho, u, f, params, opts):
     """Shared computation: law values, div/curl, F, S, both residuals."""
     grid = rho.grid
     vals = evaluate_laws(rho.data, params)
     divu = div_array(u.components, grid.dx)
     coef = 2.0 * params.mu + vals.lam
     F = coef * divu - vals.p
-    S, rep = compute_S(u, f, params, opts, s0=s_prev)
+    S, rep = compute_S(u, f, params, opts)
     flux_residual = float(np.max(np.abs(F - F.mean() - S.data)))
     mean_rel = float(abs(
         np.mean(vals.lam * divu) - np.mean(vals.p)
@@ -144,17 +146,17 @@ def congestion_report(rho, u, params, theta=CONGESTION_THETA):
 
 
 def build_record(state, f, params, opts=SolverOptions(), step=0, dt=0.0,
-                 s_prev=None, momentum_iters=0):
+                 momentum_iters=0):
     """Assemble the full diagnostics record for the current state.
 
-    Returns (record, S) so the caller can warm-start the next flux solve.
+    Returns (record, S), S being the zero-mean flux part from ``compute_S``.
     """
     rho, u = state.rho, state.u
     grid = rho.grid
     vol = grid.cell_volume
 
     vals, divu, F, S, poisson_rep, flux_res, mean_rel = _flux_pieces(
-        rho, u, f, params, opts, s_prev=s_prev
+        rho, u, f, params, opts
     )
 
     if grid.dim == 2:
@@ -250,31 +252,18 @@ class EnergyLedger:
         return float(self.drift[-1])
 
 
-def poincare_constant(grid, opts=SolverOptions(), max_iter=80, rtol=1e-11):
+def poincare_constant(grid):
     """Largest eigenvalue of (-Delta_h)^{-1} on the mean-zero subspace.
 
-    Inverse power iteration driven by the zero-mean Poisson solver; this is
-    the constant C in ||v - <v>||^2 <= C ||grad v||^2 on the grid.  In 1D the
-    exact value is 1 / ((4/dx^2) sin^2(pi/n)).
+    This is the constant C in ||v - <v>||^2 <= C ||grad v||^2 on the grid.
+    The smallest nonzero eigenvalue of -Delta_h is (4/dx^2) sin^2(pi/n) in 1D
+    and, on the square torus, in 2D too (a mode along one axis), so
+    C = 1 / ((4/dx^2) sin^2(pi/n)).
     """
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(grid.shape)
-    v -= v.mean()
-    v /= np.linalg.norm(v)
-    est = 0.0
-    for _ in range(max_iter):
-        w, _ = solve_poisson_zero_mean(ScalarField(grid, v), opts)
-        new_est = float(np.dot(v.ravel(), w.data.ravel()))
-        nrm = float(np.linalg.norm(w.data))
-        v = w.data / nrm
-        if est > 0.0 and abs(new_est - est) <= rtol * new_est:
-            est = new_est
-            break
-        est = new_est
-    return est
+    return 1.0 / ((4.0 / grid.dx**2) * float(np.sin(np.pi / grid.n)) ** 2)
 
 
-def energy_report(records, params, grid, opts=SolverOptions()):
+def energy_report(records, params, grid):
     """Build the energy ledger from a recorded trajectory."""
     t = np.array([r.t for r in records])
     dt = np.array([r.dt for r in records])
@@ -294,7 +283,7 @@ def energy_report(records, params, grid, opts=SolverOptions()):
     step_drift[-1] = 0.0
 
     reduced_diss = diss - 0.5 * params.mu * (divu2 + curl2)
-    C = poincare_constant(grid, opts)
+    C = poincare_constant(grid)
     bound_lhs = energy + cum(reduced_diss)
     bound_rhs = energy[0] + (1.0 + C) / (2.0 * params.mu) * cum(f_l2)
     ok = bool(np.all(bound_lhs <= bound_rhs + 1e-9 * (1.0 + np.abs(bound_rhs))))

@@ -14,7 +14,10 @@ class DomainError(BrinkflowError):
 
 
 class SolverDiverged(BrinkflowError):
-    """Iterative solver failed to reach tolerance within its budget.
+    """A linear solve missed its tolerance.
+
+    CG exhausted its iteration budget, or a direct solve's measured residual
+    stayed above tolerance (or non-finite) after one refinement step.
 
     Carries the final ``SolveReport`` as ``report`` and, when raised from a
     simulation run, the diagnostics records gathered so far as ``records``.

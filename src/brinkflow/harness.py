@@ -3,8 +3,8 @@
 Time loop (operator splitting per step):
 
   1. evaluate the laws at rho^n,
-  2. solve the semi-stationary momentum system for u^n (warm-started from
-     u^{n-1}),
+  2. solve the semi-stationary momentum system for u^n (directly in 1D, by
+     CG in 2D), starting from u^{n-1},
   3. assemble the diagnostics record (includes the effective-flux solve),
   4. pick dt = min(advective CFL, reference-velocity cap cfl*dx, pressure
      stiffness cap, time remaining),
@@ -350,7 +350,6 @@ def run_simulation(config, outdir=None, opts=SolverOptions()):
 
     records = []
     u_prev = None
-    s_prev = None
     while True:
         try:
             u, mrep = solve_momentum(state.rho, f, params, opts, u0=u_prev)
@@ -360,11 +359,10 @@ def run_simulation(config, outdir=None, opts=SolverOptions()):
         state.u = u
         u_prev = u
 
-        rec, S = build_record(
+        rec, _ = build_record(
             state, f, params, opts, step=state.step_count, dt=0.0,
-            s_prev=s_prev, momentum_iters=mrep.iterations,
+            momentum_iters=mrep.iterations,
         )
-        s_prev = S
 
         if snap_dir is not None and state.t >= next_snap - _TIME_EPS:
             _write_state_snapshots(snap_dir, state, grid)

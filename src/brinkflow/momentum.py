@@ -7,14 +7,22 @@ The velocity is slaved to the density through the SPD system
 
 discretized on the MAC grid so that A is symmetric positive definite
 (<A u, u> = sum (2*mu+lam) (div u)^2 + mu (curl u)^2 + r |u|^2 over cells,
-nodes, and faces).  The system is solved matrix-free by conjugate gradients
-with optional diagonal (Jacobi) preconditioning.
+nodes, and faces).  In 1D, A = -(c u')' + r u is a cyclic tridiagonal
+matrix and is solved directly in O(n): Thomas elimination on the matrix
+without its corners, plus a Sherman-Morrison correction for them.  In 2D the
+system is solved matrix-free by conjugate gradients with optional diagonal
+(Jacobi) preconditioning.
 
-``solve_poisson_zero_mean`` inverts -Delta_h on the mean-zero subspace (CG
-with per-iteration projection), and ``compute_S`` produces the zero-mean
-part of the effective viscous flux F = (2*mu+lam) div u - p directly from
-force and drag: -Delta_h S = div(f - r*u), so F = mean(F) + S holds exactly
-at the discrete level.
+``solve_poisson_zero_mean`` inverts -Delta_h on the mean-zero subspace with
+the FFT, which diagonalizes the constant-coefficient periodic operator: mode
+k has eigenvalue sum_axes (4/dx^2) sin^2(pi k_a/n).  ``compute_S`` produces
+the zero-mean part of the effective viscous flux F = (2*mu+lam) div u - p
+directly from force and drag: -Delta_h S = div(f - r*u), so F = mean(F) + S
+holds exactly at the discrete level.
+
+Every solve returns a ``SolveReport``.  A direct solve measures its residual
+with one application of the operator and reports 1 iteration (0 for a zero
+right-hand side or a warm start that already meets the tolerance).
 """
 
 from __future__ import annotations
@@ -46,11 +54,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """CG controls.
+    """Solver controls.
 
-    tol            : relative residual target, in (0, 1e-4]
-    max_iter       : iteration budget; None means 50*n per dimension
-    preconditioner : "none" or "diagonal"
+    tol            : relative residual target, in (0, 1e-4]; the 2D momentum
+                     CG iterates to it, and a direct solve that misses it
+                     takes one step of iterative refinement
+    max_iter       : 2D momentum CG iteration budget; None means 50*n per
+                     dimension
+    preconditioner : 2D momentum CG preconditioner, "none" or "diagonal"
     """
 
     tol: float = 1e-10
@@ -78,20 +89,14 @@ class SolveReport:
     converged: bool
 
 
-def _cg(apply_op, b, x0, tol, max_iter, precond=None, project=None):
+def _cg(apply_op, b, x0, tol, max_iter, precond=None):
     """Plain preconditioned CG on flat arrays; returns (x, report)."""
-    if project is not None:
-        b = project(b)
     x = x0.copy()
-    if project is not None:
-        x = project(x)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros_like(b), SolveReport(0, 0.0, True)
 
     r = b - apply_op(x)
-    if project is not None:
-        r = project(r)
     rel = float(np.linalg.norm(r)) / b_norm
     if rel <= tol:
         return x, SolveReport(0, rel, True)
@@ -102,8 +107,6 @@ def _cg(apply_op, b, x0, tol, max_iter, precond=None, project=None):
     iters = 0
     for iters in range(1, max_iter + 1):
         Ap = apply_op(p)
-        if project is not None:
-            Ap = project(Ap)
         pAp = float(np.dot(p, Ap))
         if pAp <= 0.0:
             # SPD operator: this only happens on round-off collapse.
@@ -111,8 +114,6 @@ def _cg(apply_op, b, x0, tol, max_iter, precond=None, project=None):
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        if project is not None:
-            r = project(r)
         rel = float(np.linalg.norm(r)) / b_norm
         if rel <= tol:
             return x, SolveReport(iters, rel, True)
@@ -121,6 +122,44 @@ def _cg(apply_op, b, x0, tol, max_iter, precond=None, project=None):
         p = z + (rz_new / rz) * p
         rz = rz_new
     return x, SolveReport(iters, rel, False)
+
+
+def _direct(apply_op, solve, b, x0, tol):
+    """Direct solve of A x = b with the early exits and report of ``_cg``.
+
+    ``solve`` applies a factorization of A.  A warm start x0 is corrected
+    by solving A d = b - A x0, so the round-off of the solve scales with
+    that residual rather than with b.  The residual is measured with one application of
+    ``apply_op``; when it misses ``tol``, one step of iterative refinement
+    reuses the factorization.  The report is unconverged if the residual
+    still misses ``tol`` or is not finite.
+    """
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return np.zeros_like(b), SolveReport(0, 0.0, True)
+    if x0 is None:
+        x = solve(b)
+    else:
+        r0 = b - apply_op(x0)
+        rel = float(np.linalg.norm(r0)) / b_norm
+        if rel <= tol:
+            return x0.copy(), SolveReport(0, rel, True)
+        x = x0 + solve(r0)
+    r = b - apply_op(x)
+    rel = float(np.linalg.norm(r)) / b_norm
+    if not rel <= tol:
+        x = x + solve(r)
+        rel = float(np.linalg.norm(b - apply_op(x))) / b_norm
+    return x, SolveReport(1, rel, bool(rel <= tol))
+
+
+def _check_converged(report, what):
+    if not report.converged:
+        raise SolverDiverged(
+            f"{what} stalled at relative residual "
+            f"{report.final_relative_residual:.3e} after {report.iterations} iterations",
+            report=report,
+        )
 
 
 # -- momentum operator -------------------------------------------------------
@@ -170,53 +209,107 @@ def _momentum_diagonal(coef, mu, r, grid):
     return _flatten(diags)
 
 
+def _cyclic_tridiagonal_solver(coef, r, dx):
+    """Factor the 1D momentum operator; returns a solve for A x = b.
+
+    Face i couples to faces i+1 and i-1 through the cells on either side:
+    A[i,i] = (c_i + c_{i-1})/dx^2 + r and A[i,i+1] = A[i+1,i] = -c_i/dx^2,
+    with the periodic corners A[0,n-1] = A[n-1,0] = -c_{n-1}/dx^2.  Following
+    Numerical Recipes 2.7, A = T + g w w^T with g = -A[0,0] and
+    w = (1, 0, ..., 0, A[n-1,0]/g), so T is tridiagonal and SPD (g < 0), and
+    A^{-1} b = y - (w.y)/(1 + w.z) z with T y = b, T z = g w.  T = L D L^T
+    is eliminated without pivoting; the sweeps run on Python floats, which is
+    faster than numpy for this sequential recurrence.
+    """
+    n = coef.size
+    dx2 = dx * dx
+    off = (-coef / dx2).tolist()
+    diag = ((coef + np.roll(coef, 1)) / dx2 + r).tolist()
+    corner = off[n - 1]
+    g = -diag[0]
+    diag[0] -= g
+    diag[n - 1] -= corner * corner / g
+
+    # T = L D L^T: d holds D, lo the unit subdiagonal of L
+    d = [0.0] * n
+    lo = [0.0] * n
+    d[0] = diag[0]
+    for i in range(1, n):
+        lo[i - 1] = off[i - 1] / d[i - 1]
+        d[i] = diag[i] - lo[i - 1] * off[i - 1]
+
+    def solve_t(rhs):
+        y = rhs.tolist()
+        for i in range(1, n):
+            y[i] -= lo[i - 1] * y[i - 1]
+        y[n - 1] /= d[n - 1]
+        for i in range(n - 2, -1, -1):
+            y[i] = y[i] / d[i] - lo[i] * y[i + 1]
+        return np.array(y)
+
+    gw = np.zeros(n)
+    gw[0] = g
+    gw[n - 1] = corner
+    z = solve_t(gw)
+    w_last = corner / g
+    z_scale = 1.0 + z[0] + w_last * z[n - 1]
+
+    def solve(b):
+        y = solve_t(b)
+        return y - ((y[0] + w_last * y[n - 1]) / z_scale) * z
+
+    return solve
+
+
 def solve_momentum(rho, f, params, opts=SolverOptions(), u0=None):
     """Solve A u = f - grad(p(rho)) for the velocity.
 
     rho : ScalarField (density), f : FaceVectorField (force).
-    u0 optionally warm-starts the iteration (defaults to zero).
-    Returns (u, SolveReport); raises SolverDiverged when the budget is
-    exhausted, with the report attached to the exception.
+    u0 optionally warm-starts the solve (directly in 1D, by CG in 2D); it
+    is returned unchanged, with 0 iterations, when it already meets
+    opts.tol.  Returns (u, SolveReport); raises SolverDiverged when the
+    tolerance is missed, with the report attached to the exception.
     """
     grid = rho.grid
     vals = evaluate_laws(rho.data, params)
     coef = 2.0 * params.mu + vals.lam
     gp = grad_array(vals.p, grid.dx, grid.dim)
     b = _flatten([f.components[a] - gp[a] for a in range(grid.dim)])
+    x0 = _flatten(u0.components) if u0 is not None else None
 
-    precond = None
-    if opts.preconditioner == "diagonal":
-        diag = _momentum_diagonal(coef, params.mu, params.r, grid)
-        inv = 1.0 / diag
-        precond = lambda v: inv * v
+    def apply_op(v):
+        return _apply_momentum_flat(v, coef, params.mu, params.r, grid)
 
-    x0 = _flatten(u0.components) if u0 is not None else np.zeros_like(b)
-    x, report = _cg(
-        lambda v: _apply_momentum_flat(v, coef, params.mu, params.r, grid),
-        b, x0, opts.tol, opts.iteration_budget(grid), precond=precond,
-    )
-    if not report.converged:
-        raise SolverDiverged(
-            f"momentum CG stalled at relative residual "
-            f"{report.final_relative_residual:.3e} after {report.iterations} iterations",
-            report=report,
-        )
+    if grid.dim == 1:
+        solve = _cyclic_tridiagonal_solver(coef, params.r, grid.dx)
+        x, report = _direct(apply_op, solve, b, x0, opts.tol)
+        _check_converged(report, "momentum direct solve")
+    else:
+        precond = None
+        if opts.preconditioner == "diagonal":
+            inv = 1.0 / _momentum_diagonal(coef, params.mu, params.r, grid)
+            precond = lambda v: inv * v
+        if x0 is None:
+            x0 = np.zeros_like(b)
+        x, report = _cg(apply_op, b, x0, opts.tol, opts.iteration_budget(grid),
+                        precond=precond)
+        _check_converged(report, "momentum CG")
     return FaceVectorField(grid, _unflatten(x, grid)), report
 
 
 # -- Poisson on the mean-zero subspace ---------------------------------------
 
-def _apply_neg_laplacian(flat, grid):
-    s = flat.reshape(grid.shape)
-    g = grad_array(s, grid.dx, grid.dim)
-    return -div_array(g, grid.dx).ravel()
+def _apply_neg_laplacian(s, grid):
+    return -div_array(grad_array(s, grid.dx, grid.dim), grid.dx)
 
 
-def solve_poisson_zero_mean(g, opts=SolverOptions(), s0=None):
-    """Solve -Delta_h s = g with mean(s) = 0 on the periodic grid.
+def solve_poisson_zero_mean(g, opts=SolverOptions()):
+    """Solve -Delta_h s = g with mean(s) = 0 on the periodic grid, by FFT.
 
     Requires |mean(g)| <= 1e-10 * max|g| (solvability); raises
-    CompatibilityError otherwise.  Raises SolverDiverged on stall.
+    CompatibilityError otherwise.  The mean of g is projected out before
+    the solve.  Raises SolverDiverged if the residual misses opts.tol after
+    one refinement step.
     """
     grid = g.grid
     data = g.data
@@ -227,33 +320,34 @@ def solve_poisson_zero_mean(g, opts=SolverOptions(), s0=None):
             f"poisson right-hand side has mean {g_mean:.3e} (max |g| = {g_max:.3e})"
         )
 
-    def project(v):
-        return v - v.mean()
+    axes = tuple(range(grid.dim))
+    zero_mode = (0,) * grid.dim
+    lam_1d = (4.0 / grid.dx**2) * np.sin(np.pi * np.arange(grid.n) / grid.n) ** 2
+    # rfftn keeps modes 0..n//2 along the last axis
+    symbol = lam_1d[: grid.n // 2 + 1]
+    if grid.dim == 2:
+        symbol = lam_1d[:, None] + symbol[None, :]
+    symbol[zero_mode] = 1.0
 
-    b = data.ravel()
-    x0 = s0.data.ravel() if s0 is not None else np.zeros_like(b)
-    x, report = _cg(
-        lambda v: _apply_neg_laplacian(v, grid),
-        b, x0, opts.tol, opts.iteration_budget(grid), project=project,
-    )
-    if not report.converged:
-        raise SolverDiverged(
-            f"poisson CG stalled at relative residual "
-            f"{report.final_relative_residual:.3e} after {report.iterations} iterations",
-            report=report,
-        )
-    x = x - x.mean()
-    return ScalarField(grid, x.reshape(grid.shape)), report
+    def solve(v):
+        vh = np.fft.rfftn(v, axes=axes) / symbol
+        vh[zero_mode] = 0.0
+        return np.fft.irfftn(vh, s=grid.shape, axes=axes)
+
+    b = data - g_mean
+    x, report = _direct(lambda v: _apply_neg_laplacian(v, grid), solve, b, None, opts.tol)
+    _check_converged(report, "poisson FFT solve")
+    return ScalarField(grid, x - x.mean()), report
 
 
-def compute_S(u, f, params, opts=SolverOptions(), s0=None):
+def compute_S(u, f, params, opts=SolverOptions()):
     """Zero-mean part of the effective viscous flux.
 
     S solves -Delta_h S = div(f - r*u) with mean(S) = 0, so that
     F = (2*mu + lam) div u - p satisfies F = mean(F) + S exactly (up to the
-    solver tolerances).  Returns (S, SolveReport).
+    solver tolerance).  Returns (S, SolveReport).
     """
     grid = u.grid
     comps = [f.components[a] - params.r * u.components[a] for a in range(grid.dim)]
     rhs = ScalarField(grid, div_array(tuple(comps), grid.dx))
-    return solve_poisson_zero_mean(rhs, opts, s0=s0)
+    return solve_poisson_zero_mean(rhs, opts)
