@@ -10,6 +10,11 @@ regime classifier relies on (for instance rho*p = (beta-1)*big_lam when
 beta = gamma+1) hold exactly for these, while the transported memory field
 carries O(dx) scheme drift.  The transported field is monitored separately
 through the drift extras.
+
+The congested-set quantities (measure above a threshold, max |div u| and the
+rho*p = (beta-1)*big_lam residual on that set, and the exclusion sums) come
+from one private helper, ``_congested_set``: ``build_record`` fills its
+columns from it and ``congestion_report`` is a thin public wrapper around it.
 """
 
 from __future__ import annotations
@@ -81,11 +86,9 @@ class DiagnosticsRecord:
         return [getattr(self, name) for name in CSV_COLUMNS]
 
 
-def _flux_pieces(rho, u, f, params, opts):
-    """Shared computation: law values, div/curl, F, S, both residuals."""
-    grid = rho.grid
-    vals = evaluate_laws(rho.data, params)
-    divu = div_array(u.components, grid.dx)
+def _flux_pieces(rho, u, f, vals, params, opts):
+    """Shared computation from the law values: div u, coef, F, S, residuals."""
+    divu = div_array(u.components, rho.grid.dx)
     coef = 2.0 * params.mu + vals.lam
     F = coef * divu - vals.p
     S, rep = compute_S(u, f, params, opts)
@@ -94,7 +97,7 @@ def _flux_pieces(rho, u, f, params, opts):
         np.mean(vals.lam * divu) - np.mean(vals.p)
         + np.sum((vals.p + S.data) * vals.nu) / np.sum(vals.nu)
     ))
-    return vals, divu, F, S, rep, flux_residual, mean_rel
+    return divu, coef, F, S, rep, flux_residual, mean_rel
 
 
 def effective_flux_report(rho, u, f, params, opts=SolverOptions()):
@@ -104,7 +107,8 @@ def effective_flux_report(rho, u, f, params, opts=SolverOptions()):
     flux_residual = max|F - mean(F) - S| and mean_relation_residual is the
     absolute defect of mean(lam*div u) = mean(p) - sum((p+S)*nu)/sum(nu).
     """
-    vals, divu, F, S, rep, flux_res, mean_rel = _flux_pieces(rho, u, f, params, opts)
+    vals = evaluate_laws(rho.data, params)
+    _, _, F, S, _, flux_res, mean_rel = _flux_pieces(rho, u, f, vals, params, opts)
     return ScalarField(rho.grid, F), S, flux_res, mean_rel
 
 
@@ -117,20 +121,9 @@ class CongestionReport:
     excl_big_lam: float
 
 
-def congestion_report(rho, u, params, theta=CONGESTION_THETA):
-    """Congested-set diagnostics above the density threshold theta.
-
-    measure        : cells with rho >= theta, times cell volume
-    max_divu       : max |div u| over that set (0 if empty)
-    mp_residual    : max |rho*p - (beta-1)*big_lam| over that set (0 if empty);
-                     an exact identity whenever beta = gamma + 1
-    excl_p         : sum (1-rho) * p * cell volume (whole domain)
-    excl_big_lam   : sum (1-rho) * big_lam * cell volume
-    """
-    grid = rho.grid
-    vals = evaluate_laws(rho.data, params)
-    divu = div_array(u.components, grid.dx)
-    vol = grid.cell_volume
+def _congested_set(rho, divu, vals, params, theta):
+    """Congested-set diagnostics from precomputed div u and law values."""
+    vol = rho.grid.cell_volume
     mask = rho.data >= theta
     if mask.any():
         mp = float(np.max(np.abs(rho.data[mask] * vals.p[mask]
@@ -145,18 +138,35 @@ def congestion_report(rho, u, params, theta=CONGESTION_THETA):
     return CongestionReport(measure, mdv, mp, excl_p, excl_bl)
 
 
+def congestion_report(rho, u, params, theta=CONGESTION_THETA):
+    """Congested-set diagnostics above the density threshold theta.
+
+    measure        : cells with rho >= theta, times cell volume
+    max_divu       : max |div u| over that set (0 if empty)
+    mp_residual    : max |rho*p - (beta-1)*big_lam| over that set (0 if empty);
+                     an exact identity whenever beta = gamma + 1
+    excl_p         : sum (1-rho) * p * cell volume (whole domain)
+    excl_big_lam   : sum (1-rho) * big_lam * cell volume
+    """
+    divu = div_array(u.components, rho.grid.dx)
+    return _congested_set(rho, divu, evaluate_laws(rho.data, params), params, theta)
+
+
 def build_record(state, f, params, opts=SolverOptions(), step=0, dt=0.0,
-                 momentum_iters=0):
+                 momentum_iters=0, laws=None):
     """Assemble the full diagnostics record for the current state.
 
+    ``laws`` optionally passes ``evaluate_laws(state.rho.data, params)``
+    when the caller already holds it; the record is the same either way.
     Returns (record, S), S being the zero-mean flux part from ``compute_S``.
     """
     rho, u = state.rho, state.u
     grid = rho.grid
     vol = grid.cell_volume
 
-    vals, divu, F, S, poisson_rep, flux_res, mean_rel = _flux_pieces(
-        rho, u, f, params, opts
+    vals = laws if laws is not None else evaluate_laws(rho.data, params)
+    divu, coef, F, S, poisson_rep, flux_res, mean_rel = _flux_pieces(
+        rho, u, f, vals, params, opts
     )
 
     if grid.dim == 2:
@@ -165,7 +175,6 @@ def build_record(state, f, params, opts=SolverOptions(), step=0, dt=0.0,
     else:
         sum_curl2 = 0.0
     sum_divu2 = float(np.sum(divu * divu)) * vol
-    coef = 2.0 * params.mu + vals.lam
     drag2 = sum(float(np.sum(c * c)) for c in u.components) * vol
     dissipation = (
         float(np.sum(coef * divu * divu)) * vol
@@ -177,18 +186,8 @@ def build_record(state, f, params, opts=SolverOptions(), step=0, dt=0.0,
     ) * vol
     f_l2sq = sum(float(np.sum(fc * fc)) for fc in f.components) * vol
 
-    _, meas_099 = mean_and_measure(rho, CONGESTION_THETA)
-    thresh_1md = 1.0 - params.delta
-    _, meas_1md = mean_and_measure(rho, thresh_1md)
-
-    mask = rho.data >= CONGESTION_THETA
-    if mask.any():
-        mp = float(np.max(np.abs(rho.data[mask] * vals.p[mask]
-                                 - (params.beta - 1.0) * vals.big_lam[mask])))
-        mdv = float(np.max(np.abs(divu[mask])))
-    else:
-        mp = 0.0
-        mdv = 0.0
+    cong = _congested_set(rho, divu, vals, params, CONGESTION_THETA)
+    _, meas_1md = mean_and_measure(rho, 1.0 - params.delta)
 
     rec = DiagnosticsRecord(
         step=step,
@@ -205,12 +204,12 @@ def build_record(state, f, params, opts=SolverOptions(), step=0, dt=0.0,
         L1_p=float(np.sum(np.abs(vals.p))) * vol,
         L1_lambda=float(np.sum(np.abs(vals.lam))) * vol,
         L1_big_lam=float(np.sum(np.abs(vals.big_lam))) * vol,
-        excl_p=float(np.sum((1.0 - rho.data) * vals.p)) * vol,
-        excl_big_lam=float(np.sum((1.0 - rho.data) * vals.big_lam)) * vol,
-        mp_residual=mp,
-        meas_099=meas_099,
+        excl_p=cong.excl_p,
+        excl_big_lam=cong.excl_big_lam,
+        mp_residual=cong.mp_residual,
+        meas_099=cong.measure,
         meas_1md=meas_1md,
-        max_divu_congested=mdv,
+        max_divu_congested=cong.max_divu,
         sum_divu2=sum_divu2,
         sum_curl2=sum_curl2,
         f_l2sq=f_l2sq,

@@ -12,6 +12,10 @@ Time loop (operator splitting per step):
      (CongestionOverflow with delta = 0) halves dt and retries up to
      ctrl.max_halvings before aborting the run.
 
+The law values of step 1 are the only evaluation in the step: the momentum
+solve, the diagnostics record, the dt controller (lam and dp/drho) and the
+big_lam source -lam * div u all reuse them.
+
 The stiffness cap min_cells (2*mu+lam)/(rho * p'(rho)) keeps the explicit
 density-pressure coupling stable when the bulk viscosity grows slower than
 the pressure stiffness (beta < gamma + 1); it comes from a linear stability
@@ -49,7 +53,9 @@ from .grid import (
     make_grid,
     write_snapshot,
 )
-from .laws import LawParams, RegimeTag, evaluate_laws, pressure_derivative, regime
+from .laws import LawParams, RegimeTag, evaluate_laws, regime
+# perfbench/tracing.py wraps this binding; keep it importable from here
+from .laws import pressure_derivative  # noqa: F401
 from .momentum import SolverOptions, solve_momentum
 from .transport import (
     SimState,
@@ -288,22 +294,22 @@ def build_scenario(config, grid):
     rho0, f = builder(grid, config.scenario_params)
     if float(np.min(rho0.data)) < 0.0:
         raise ConfigError("initial density has negative cells")
-    if float(np.max(rho0.data)) >= 1.0 or float(np.mean(rho0.data)) >= 1.0:
+    if float(np.max(rho0.data)) >= 1.0:
         raise ConfigError("initial density must stay strictly below the packing value 1")
     return rho0, f
 
 
 # -- time loop ----------------------------------------------------------------
 
-def _controller_dt(u, rho, lam, grid, ctrl, params, t, t_end, snapshot_every):
+def _controller_dt(u, rho, vals, grid, ctrl, params, t, t_end, snapshot_every):
     dt = stable_dt(u, grid, ctrl)
     dt = min(dt, ctrl.cfl * grid.dx / _U_REF)
     # explicit stability of the density-pressure coupling
-    pd = pressure_derivative(rho.data, params)
-    stiff = rho.data * pd
+    stiff = rho.data * vals.dp
     m = float(np.max(stiff))
     if m > 0.0:
-        dt = min(dt, float(np.min((2.0 * params.mu + lam) / np.maximum(stiff, 1e-300))))
+        dt = min(dt, float(np.min((2.0 * params.mu + vals.lam)
+                                  / np.maximum(stiff, 1e-300))))
     if snapshot_every > 0.0:
         dt = min(dt, snapshot_every)
     return min(dt, t_end - t)
@@ -336,10 +342,10 @@ def run_simulation(config, outdir=None, opts=SolverOptions()):
     ctrl = config.step_control()
     rho0, f = build_scenario(config, grid)
 
-    vals0 = evaluate_laws(rho0.data, params)
+    vals = evaluate_laws(rho0.data, params)
     state = SimState(
         t=0.0, rho=rho0, u=FaceVectorField.zeros(grid),
-        big_lam=ScalarField(grid, np.array(vals0.big_lam, copy=True)),
+        big_lam=ScalarField(grid, np.array(vals.big_lam, copy=True)),
         step_count=0,
     )
 
@@ -352,7 +358,7 @@ def run_simulation(config, outdir=None, opts=SolverOptions()):
     u_prev = None
     while True:
         try:
-            u, mrep = solve_momentum(state.rho, f, params, opts, u0=u_prev)
+            u, mrep = solve_momentum(state.rho, f, params, opts, u0=u_prev, laws=vals)
         except SolverDiverged as exc:
             exc.records = records
             raise
@@ -361,7 +367,7 @@ def run_simulation(config, outdir=None, opts=SolverOptions()):
 
         rec, _ = build_record(
             state, f, params, opts, step=state.step_count, dt=0.0,
-            momentum_iters=mrep.iterations,
+            momentum_iters=mrep.iterations, laws=vals,
         )
 
         if snap_dir is not None and state.t >= next_snap - _TIME_EPS:
@@ -372,9 +378,7 @@ def run_simulation(config, outdir=None, opts=SolverOptions()):
             records.append(rec)
             break
 
-        lam_field = ScalarField(grid, np.array(evaluate_laws(state.rho.data, params).lam,
-                                               copy=True))
-        dt = _controller_dt(u, state.rho, lam_field.data, grid, ctrl, params,
+        dt = _controller_dt(u, state.rho, vals, grid, ctrl, params,
                             state.t, config.t_end, config.snapshot_every)
 
         new_rho = None
@@ -392,11 +396,12 @@ def run_simulation(config, outdir=None, opts=SolverOptions()):
         records.append(rec)
 
         divu = divergence(u)
-        new_big = advect_big_lambda(state.big_lam, u, divu, lam_field, dt)
+        new_big = advect_big_lambda(state.big_lam, u, divu, ScalarField(grid, vals.lam), dt)
         state = SimState(
             t=state.t + dt, rho=new_rho, u=u, big_lam=new_big,
             step_count=state.step_count + 1,
         )
+        vals = evaluate_laws(state.rho.data, params)
 
     return state, records
 

@@ -95,13 +95,18 @@ class LawParams:
 
 @dataclass(frozen=True)
 class LawValues:
-    """Pointwise law evaluations; shapes match the input density."""
+    """Pointwise law evaluations; shapes match the input density.
+
+    p, lam, big_lam, h, nu are the laws of the module docstring and dp is
+    the pressure stiffness dp/drho.
+    """
 
     p: np.ndarray
     lam: np.ndarray
     big_lam: np.ndarray
     h: np.ndarray
     nu: np.ndarray
+    dp: np.ndarray
 
 
 def _check_density(rho, params):
@@ -116,7 +121,7 @@ def _check_density(rho, params):
 
 
 def evaluate_laws(rho, params):
-    """Evaluate p, lam, big_lam, h, nu at the given densities.
+    """Evaluate p, lam, big_lam, h, nu and dp/drho at the given densities.
 
     Accepts a scalar or an ndarray; returns a ``LawValues`` with matching
     shape.  Raises ``DomainError`` for rho < 0, and for rho >= 1 when
@@ -134,6 +139,7 @@ def evaluate_laws(rho, params):
     lam = np.empty_like(rho_a)
     big = np.empty_like(rho_a)
     h = np.empty_like(rho_a)
+    dp = np.empty_like(rho_a)
 
     if delta == 0.0:
         exact = np.ones(rho_a.shape, dtype=bool)
@@ -146,6 +152,7 @@ def evaluate_laws(rho, params):
     lam[exact] = eps * q**beta
     big[exact] = (eps / (beta - 1.0)) * re * q ** (beta - 1.0)
     h[exact] = (eps / (gamma - 1.0)) * re * q ** (gamma - 1.0)
+    dp[exact] = eps * gamma * q ** (gamma - 1.0) / (1.0 - re) ** 2
 
     if delta > 0.0:
         trunc = ~exact
@@ -155,42 +162,19 @@ def evaluate_laws(rho, params):
         lam[trunc] = eps * rt**beta / delta**beta
         h[trunc] = eps / ((gamma - 1.0) * delta**gamma) * (rt**gamma - edge**gamma * rt)
         big[trunc] = eps / ((beta - 1.0) * delta**beta) * (rt**beta - edge**beta * rt)
+        dp[trunc] = eps * gamma * rt ** (gamma - 1.0) / delta**gamma
 
     nu = 1.0 / (2.0 * params.mu + lam)
 
+    fields = (p, lam, big, h, nu, dp)
     if scalar:
-        return LawValues(
-            float(p[0]), float(lam[0]), float(big[0]), float(h[0]), float(nu[0])
-        )
-    shape = rho_in.shape
-    return LawValues(
-        p.reshape(shape), lam.reshape(shape), big.reshape(shape),
-        h.reshape(shape), nu.reshape(shape),
-    )
+        return LawValues(*(float(a[0]) for a in fields))
+    return LawValues(*(a.reshape(rho_in.shape) for a in fields))
 
 
 def pressure_derivative(rho, params):
-    """dp/drho, used by the harness for its stiffness time-step cap."""
-    rho_in = np.asarray(rho, dtype=float)
-    scalar = rho_in.ndim == 0
-    rho_a = np.atleast_1d(rho_in)
-    _check_density(rho_a, params)
-
-    eps, delta, gamma = params.epsilon, params.delta, params.gamma
-    out = np.empty_like(rho_a)
-    if delta == 0.0:
-        exact = np.ones(rho_a.shape, dtype=bool)
-    else:
-        exact = rho_a <= 1.0 - delta
-    re = rho_a[exact]
-    q = re / (1.0 - re)
-    out[exact] = eps * gamma * q ** (gamma - 1.0) / (1.0 - re) ** 2
-    if delta > 0.0:
-        rt = rho_a[~exact]
-        out[~exact] = eps * gamma * rt ** (gamma - 1.0) / delta**gamma
-    if scalar:
-        return float(out[0])
-    return out.reshape(rho_in.shape)
+    """dp/drho; equals ``evaluate_laws(rho, params).dp``."""
+    return evaluate_laws(rho, params).dp
 
 
 def regime(params):

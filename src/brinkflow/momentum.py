@@ -261,17 +261,19 @@ def _cyclic_tridiagonal_solver(coef, r, dx):
     return solve
 
 
-def solve_momentum(rho, f, params, opts=SolverOptions(), u0=None):
+def solve_momentum(rho, f, params, opts=SolverOptions(), u0=None, laws=None):
     """Solve A u = f - grad(p(rho)) for the velocity.
 
     rho : ScalarField (density), f : FaceVectorField (force).
     u0 optionally warm-starts the solve (directly in 1D, by CG in 2D); it
     is returned unchanged, with 0 iterations, when it already meets
-    opts.tol.  Returns (u, SolveReport); raises SolverDiverged when the
-    tolerance is missed, with the report attached to the exception.
+    opts.tol.  ``laws`` optionally passes ``evaluate_laws(rho.data, params)``
+    when the caller already holds it; the solution is the same either way.
+    Returns (u, SolveReport); raises SolverDiverged when the tolerance is
+    missed, with the report attached to the exception.
     """
     grid = rho.grid
-    vals = evaluate_laws(rho.data, params)
+    vals = laws if laws is not None else evaluate_laws(rho.data, params)
     coef = 2.0 * params.mu + vals.lam
     gp = grad_array(vals.p, grid.dx, grid.dim)
     b = _flatten([f.components[a] - gp[a] for a in range(grid.dim)])

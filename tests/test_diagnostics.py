@@ -100,6 +100,41 @@ def test_congestion_report_empty_set():
     assert rep.measure == 0.0 and rep.max_divu == 0.0 and rep.mp_residual == 0.0
 
 
+def test_congestion_report_matches_build_record(rng):
+    # one congested-set routine: the report and the record agree exactly
+    g = make_grid(1, 64)
+    data = rng.uniform(0.5, 0.98, g.shape)
+    data[[3, 17, 40]] = [0.995, 0.992, 0.999]
+    rho = ScalarField(g, data)
+    u = FaceVectorField(g, (rng.normal(size=g.shape),))
+    f = FaceVectorField(g, (rng.normal(size=g.shape),))
+    big_lam = ScalarField(g, evaluate_laws(data, PARAMS).big_lam.copy())
+    rec, _ = build_record(SimState(t=0.0, rho=rho, u=u, big_lam=big_lam), f, PARAMS)
+    rep = congestion_report(rho, u, PARAMS)
+    assert rep.measure == pytest.approx(3.0 / 64.0) and rep.max_divu > 0.0
+    assert (rep.measure, rep.max_divu, rep.mp_residual, rep.excl_p, rep.excl_big_lam) == (
+        rec.meas_099, rec.max_divu_congested, rec.mp_residual, rec.excl_p,
+        rec.excl_big_lam)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_precomputed_laws_give_identical_results(dim, rng):
+    g = make_grid(dim, 16)
+    rho = ScalarField(g, smooth_field(g, rng, 0.3, 0.98))
+    f = FaceVectorField(g, tuple(rng.normal(size=g.shape) for _ in range(dim)))
+    vals = evaluate_laws(rho.data, PARAMS)
+    u, rep = solve_momentum(rho, f, PARAMS)
+    u_pre, rep_pre = solve_momentum(rho, f, PARAMS, laws=vals)
+    assert rep == rep_pre
+    for a, b in zip(u.components, u_pre.components):
+        assert np.array_equal(a, b)
+    state = SimState(t=0.1, rho=rho, u=u, big_lam=ScalarField(g, 0.9 * vals.big_lam))
+    rec, S = build_record(state, f, PARAMS, step=3, dt=0.01)
+    rec_pre, S_pre = build_record(state, f, PARAMS, step=3, dt=0.01, laws=vals)
+    assert rec == rec_pre
+    assert np.array_equal(S.data, S_pre.data)
+
+
 def test_mp_identity_requires_beta_gamma_plus_one():
     g = make_grid(1, 8)
     rho = ScalarField.full(g, 0.995)

@@ -1,8 +1,18 @@
 """Harness tests: config parsing, scenarios, the time loop, sweeps, rate
 fits, and regime classification on synthetic tables."""
 
+import importlib.util
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import brinkflow.cli
+import brinkflow.diagnostics
+import brinkflow.harness
+import brinkflow.laws
+import brinkflow.momentum
 
 from brinkflow import (
     CongestionOverflow,
@@ -180,6 +190,51 @@ def test_snapshots_written(tmp_path):
     assert all(b > a for a, b in zip(times, times[1:]))
     # velocity snapshots accompany the density ones
     assert len(sorted((tmp_path / "snapshots").glob("*_u0.txt"))) == len(snaps)
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(dim=1, n=32, t_end=0.05, epsilon=1e-2, gamma=2.0, beta=3.0,
+              scenario="compression", scenario_params={"rho0": 0.6, "f0": 50.0}),
+    RunConfig(dim=2, n=16, t_end=0.02, epsilon=1e-2, gamma=2.0, beta=3.0,
+              scenario="rotation_squeeze",
+              scenario_params={"rho0": 0.6, "f0": 40.0, "rot": 20.0}),
+], ids=["1d_compression", "2d_rotation_squeeze"])
+def test_laws_evaluated_once_per_step(cfg, monkeypatch):
+    # the momentum solve, the record, the dt controller and the big_lam
+    # source share one evaluation of the laws per step
+    calls = {"evaluate_laws": 0, "pressure_derivative": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (brinkflow.harness, brinkflow.diagnostics, brinkflow.momentum):
+        monkeypatch.setattr(module, "evaluate_laws",
+                            counting("evaluate_laws", brinkflow.laws.evaluate_laws))
+    monkeypatch.setattr(brinkflow.harness, "pressure_derivative",
+                        counting("pressure_derivative", brinkflow.laws.pressure_derivative))
+    _, records = run_simulation(cfg)
+    assert len(records) >= 3
+    assert calls["evaluate_laws"] <= len(records) + 1
+    assert calls["pressure_derivative"] == 0
+
+
+def test_benchmark_tracer_bindings_exist():
+    # perfbench/tracing.py wraps these module attributes by name; a binding
+    # dropped from a module breaks every traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bench = types.SimpleNamespace(run_simulation=run_simulation,
+                                  energy_report=brinkflow.diagnostics.energy_report,
+                                  cli_main=brinkflow.cli.main)
+    targets = tracing._targets(bench)
+    assert targets
+    for owner, attr, name, _ in targets:
+        assert callable(getattr(owner, attr, None)), (attr, name)
 
 
 OVERFLOW_TEXT = """

@@ -130,6 +130,10 @@ def test_pressure_derivative(delta):
         hi = evaluate_laws(rho + step, params).p
         assert pressure_derivative(rho, params) == pytest.approx(
             (hi - lo) / (2 * step), rel=1e-6), rho
+        assert pressure_derivative(rho, params) == evaluate_laws(rho, params).dp
+    # the array path too, across the junction 1 - delta when delta > 0
+    arr = np.array(probes)
+    assert np.array_equal(pressure_derivative(arr, params), evaluate_laws(arr, params).dp)
 
 
 def test_constraint_identity_battery(rng):
