@@ -16,8 +16,9 @@ class DomainError(BrinkflowError):
 class SolverDiverged(BrinkflowError):
     """A linear solve missed its tolerance.
 
-    CG exhausted its iteration budget, or a direct solve's measured residual
-    stayed above tolerance (or non-finite) after one refinement step.
+    The inner CG of the 2D momentum solve exhausted its iteration budget,
+    or a solve's measured residual stayed above tolerance (or non-finite)
+    after one refinement step.
 
     Carries the final ``SolveReport`` as ``report`` and, when raised from a
     simulation run, the diagnostics records gathered so far as ``records``.

@@ -3,8 +3,8 @@
 Time loop (operator splitting per step):
 
   1. evaluate the laws at rho^n,
-  2. solve the semi-stationary momentum system for u^n (directly in 1D, by
-     CG in 2D), starting from u^{n-1},
+  2. solve the semi-stationary momentum system for u^n (directly in 1D,
+     through the viscous flux in 2D), starting from u^{n-1},
   3. assemble the diagnostics record (includes the effective-flux solve),
   4. pick dt = min(advective CFL, reference-velocity cap cfl*dx, pressure
      stiffness cap, time remaining),

@@ -9,9 +9,23 @@ discretized on the MAC grid so that A is symmetric positive definite
 (<A u, u> = sum (2*mu+lam) (div u)^2 + mu (curl u)^2 + r |u|^2 over cells,
 nodes, and faces).  In 1D, A = -(c u')' + r u is a cyclic tridiagonal
 matrix and is solved directly in O(n): Thomas elimination on the matrix
-without its corners, plus a Sherman-Morrison correction for them.  In 2D the
-system is solved matrix-free by conjugate gradients with optional diagonal
-(Jacobi) preconditioning.
+without its corners, plus a Sherman-Morrison correction for them.
+
+In 2D the solve goes through the viscous part of the effective flux,
+Fv = c div u with c = 2*mu + lam.  Write b = f - grad p and
+H = mu curl^T curl + r, so that A u = H u - grad Fv.  Two exact MAC
+identities, div curl^T = 0 and div grad = Delta_h, give div H = r div, and
+A u = b splits into
+
+    1. (-Delta_h + r/c) Fv = div b,   a scalar SPD system on the cells;
+    2. u = H^{-1}(b + grad Fv) = H^{-1} b + grad(Fv) / r.
+
+Step 1 is solved by conjugate gradients preconditioned with the FFT inverse
+of -Delta_h + mean(r/c); the variable coefficient enters only at zero
+order, so a few iterations suffice however large the contrast in c.
+H has constant coefficients, so step 2 is one exact FFT solve: on the
+Fourier mode with grad symbol a, H^{-1} = P/r + (I - P)/(mu |a|^2 + r)
+with P = a a^H / |a|^2 (and 1/r on the zero mode).
 
 ``solve_poisson_zero_mean`` inverts -Delta_h on the mean-zero subspace with
 the FFT, which diagonalizes the constant-coefficient periodic operator: mode
@@ -21,13 +35,15 @@ directly from force and drag: -Delta_h S = div(f - r*u), so F = mean(F) + S
 holds exactly at the discrete level.
 
 Every solve returns a ``SolveReport``.  A direct solve measures its residual
-with one application of the operator and reports 1 iteration (0 for a zero
-right-hand side or a warm start that already meets the tolerance).
+with one application of the operator and reports 1 iteration; the 2D
+momentum solve reports the total of its inner CG iterations.  Both report 0
+for a zero right-hand side or a warm start that already meets the tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -56,12 +72,13 @@ __all__ = [
 class SolverOptions:
     """Solver controls.
 
-    tol            : relative residual target, in (0, 1e-4]; the 2D momentum
-                     CG iterates to it, and a direct solve that misses it
-                     takes one step of iterative refinement
-    max_iter       : 2D momentum CG iteration budget; None means 50*n per
-                     dimension
-    preconditioner : 2D momentum CG preconditioner, "none" or "diagonal"
+    tol            : relative residual target, in (0, 1e-4]; a solve that
+                     misses it takes one step of iterative refinement
+    max_iter       : iteration budget of each inner CG on the 2D flux
+                     equation; None means 50*n per dimension
+    preconditioner : preconditioner of that inner CG: "diagonal" divides by
+                     the Fourier symbol of -Delta_h + mean(r/c), which is
+                     diagonal in the Fourier basis; "none" runs plain CG
     """
 
     tol: float = 1e-10
@@ -197,16 +214,91 @@ def apply_momentum_operator(u, coef, mu, r):
     return FaceVectorField(grid, _unflatten(flat, grid))
 
 
-def _momentum_diagonal(coef, mu, r, grid):
-    """Diagonal of A, per face component, for Jacobi preconditioning."""
-    dx2 = grid.dx**2
-    diags = []
-    for a in range(grid.dim):
-        d = (coef + np.roll(coef, 1, axis=a)) / dx2
-        if grid.dim == 2:
-            d = d + 2.0 * mu / dx2
-        diags.append(d + r)
-    return _flatten(diags)
+@dataclass(frozen=True)
+class _FourierSymbols:
+    """Symbols of the periodic MAC operators on the ``rfftn`` modes of a grid.
+
+    lap  : eigenvalues of -Delta_h, sum_axes (4/dx^2) sin^2(pi k_a/n), with
+           the zero mode (eigenvalue 0) stored as 1 so that lap can divide
+    unit : 2D only, a / |a| per axis, where a_j = (1 - exp(-2 pi i k_j/n))/dx
+           is the symbol of grad_array; 0 on the zero mode.  The projector
+           onto gradients is P = unit unit^H.
+    """
+
+    lap: np.ndarray
+    unit: tuple | None
+
+
+@functools.lru_cache(maxsize=8)
+def _fourier_symbols(dim, n, dx):
+    """The grid's ``_FourierSymbols``, built once per (dim, n, dx); read-only."""
+    zero_mode = (0,) * dim
+    lam_1d = (4.0 / dx**2) * np.sin(np.pi * np.arange(n) / n) ** 2
+    # rfftn keeps modes 0..n//2 along the last axis
+    lap = lam_1d[: n // 2 + 1].copy()
+    unit = None
+    if dim == 2:
+        lap = lam_1d[:, None] + lap[None, :]
+        k0 = np.arange(n)[:, None]
+        k1 = np.arange(n // 2 + 1)[None, :]
+        norm = np.sqrt(lap)   # |a|, still 0 on the zero mode
+        norm[zero_mode] = 1.0
+        unit = tuple((1.0 - np.exp(-2j * np.pi * k / n)) / dx / norm for k in (k0, k1))
+        for arr in unit:
+            arr.setflags(write=False)
+    lap[zero_mode] = 1.0
+    lap.setflags(write=False)
+    return _FourierSymbols(lap, unit)
+
+
+def _flux_reduced_solver(coef, mu, r, grid, opts, inner_reports):
+    """2D momentum solve through the viscous flux; returns a solve for A x = b.
+
+    Each call solves (-Delta_h + r/c) Fv = div b by preconditioned CG and
+    returns H^{-1} b + grad(Fv)/r (see the module docstring).  The CG
+    reports are appended to ``inner_reports``; one that misses its tolerance
+    within ``opts.iteration_budget`` raises SolverDiverged.  The CG
+    tolerance is 1e-3 * opts.tol: the momentum residual of the result is
+    grad((c/r) * flux residual), which the contrast in c amplifies.
+    """
+    sym = _fourier_symbols(grid.dim, grid.n, grid.dx)
+    axes = (0, 1)
+    shift = r / coef
+    m = float(np.mean(shift))
+    inv_h = 1.0 / (mu * sym.lap + r)
+    inv_h[0, 0] = 1.0 / r
+    proj_gain = 1.0 / r - inv_h   # 0 on the zero mode, where P = 0 too
+
+    def flux_op(v):
+        s = v.reshape(grid.shape)
+        return (_apply_neg_laplacian(s, grid) + shift * s).ravel()
+
+    precond = None
+    if opts.preconditioner == "diagonal":
+        inv_pre = 1.0 / (sym.lap + m)
+        inv_pre[0, 0] = 1.0 / m
+
+        def precond(v):
+            vh = np.fft.rfftn(v.reshape(grid.shape), axes=axes) * inv_pre
+            return np.fft.irfftn(vh, s=grid.shape, axes=axes).ravel()
+
+    def solve(b):
+        comps = _unflatten(b, grid)
+        g = div_array(comps, grid.dx).ravel()
+        fv, rep = _cg(flux_op, g, np.zeros_like(g), 1e-3 * opts.tol,
+                      opts.iteration_budget(grid), precond=precond)
+        inner_reports.append(rep)
+        _check_converged(rep, "momentum flux CG")
+        bh = [np.fft.rfftn(c, axes=axes) for c in comps]
+        pb = proj_gain * (sym.unit[0].conj() * bh[0] + sym.unit[1].conj() * bh[1])
+        grad_fv = grad_array(fv.reshape(grid.shape), grid.dx, grid.dim)
+        return _flatten([
+            np.fft.irfftn(inv_h * bh[j] + sym.unit[j] * pb, s=grid.shape, axes=axes)
+            + grad_fv[j] / r
+            for j in range(2)
+        ])
+
+    return solve
 
 
 def _cyclic_tridiagonal_solver(coef, r, dx):
@@ -265,8 +357,8 @@ def solve_momentum(rho, f, params, opts=SolverOptions(), u0=None, laws=None):
     """Solve A u = f - grad(p(rho)) for the velocity.
 
     rho : ScalarField (density), f : FaceVectorField (force).
-    u0 optionally warm-starts the solve (directly in 1D, by CG in 2D); it
-    is returned unchanged, with 0 iterations, when it already meets
+    u0 optionally warm-starts the solve: only its residual is solved for,
+    and it is returned unchanged, with 0 iterations, when it already meets
     opts.tol.  ``laws`` optionally passes ``evaluate_laws(rho.data, params)``
     when the caller already holds it; the solution is the same either way.
     Returns (u, SolveReport); raises SolverDiverged when the tolerance is
@@ -285,17 +377,12 @@ def solve_momentum(rho, f, params, opts=SolverOptions(), u0=None, laws=None):
     if grid.dim == 1:
         solve = _cyclic_tridiagonal_solver(coef, params.r, grid.dx)
         x, report = _direct(apply_op, solve, b, x0, opts.tol)
-        _check_converged(report, "momentum direct solve")
     else:
-        precond = None
-        if opts.preconditioner == "diagonal":
-            inv = 1.0 / _momentum_diagonal(coef, params.mu, params.r, grid)
-            precond = lambda v: inv * v
-        if x0 is None:
-            x0 = np.zeros_like(b)
-        x, report = _cg(apply_op, b, x0, opts.tol, opts.iteration_budget(grid),
-                        precond=precond)
-        _check_converged(report, "momentum CG")
+        inner = []
+        solve = _flux_reduced_solver(coef, params.mu, params.r, grid, opts, inner)
+        x, report = _direct(apply_op, solve, b, x0, opts.tol)
+        report = replace(report, iterations=sum(rep.iterations for rep in inner))
+    _check_converged(report, "momentum solve")
     return FaceVectorField(grid, _unflatten(x, grid)), report
 
 
@@ -324,12 +411,7 @@ def solve_poisson_zero_mean(g, opts=SolverOptions()):
 
     axes = tuple(range(grid.dim))
     zero_mode = (0,) * grid.dim
-    lam_1d = (4.0 / grid.dx**2) * np.sin(np.pi * np.arange(grid.n) / grid.n) ** 2
-    # rfftn keeps modes 0..n//2 along the last axis
-    symbol = lam_1d[: grid.n // 2 + 1]
-    if grid.dim == 2:
-        symbol = lam_1d[:, None] + symbol[None, :]
-    symbol[zero_mode] = 1.0
+    symbol = _fourier_symbols(grid.dim, grid.n, grid.dx).lap
 
     def solve(v):
         vh = np.fft.rfftn(v, axes=axes) / symbol

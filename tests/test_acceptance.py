@@ -1,4 +1,4 @@
-"""Acceptance gate: ten numbered criteria, one test per criterion.
+"""Acceptance gate: eleven numbered criteria, one test per criterion.
 
 Each test prints a single summary line with its measured margins; the
 pytest -v status line is the pass/fail verdict.  Scenario constants used
@@ -29,6 +29,7 @@ from brinkflow import (
     solve_momentum,
     sweep,
 )
+from brinkflow.diagnostics import CSV_COLUMNS
 from brinkflow.grid import cell_coords, face_coords
 from brinkflow.transport import StepControl, advect_density
 
@@ -325,3 +326,51 @@ def test_criterion_10_incompressibility_shadow(sweep_g3b2):
         assert nxt <= 1.1 * prev   # 10% slack on consecutive values
     print(f"[criterion 10] PASS: max |div u| over congested cells "
           f"{['%.3g' % v for v in vals]} monotone within 10% slack")
+
+
+def _rotation_squeeze(n, f0, t_end):
+    return RunConfig(
+        dim=2, n=n, t_end=t_end, epsilon=1e-2, gamma=2.0, beta=3.0,
+        scenario="rotation_squeeze",
+        scenario_params={"rho0": 0.6, "f0": f0, "rot": 20.0},
+    )
+
+
+def test_criterion_11_rotation_squeeze_2d():
+    t0 = time.perf_counter()
+    # (a) energy ledger with the curl term active: the drift halves under
+    # refinement and the a priori bound holds
+    drifts = {}
+    for n in (32, 64):
+        cfg = _rotation_squeeze(n, 40.0, 0.3)
+        _, records = run_simulation(cfg)
+        assert all(r.dissipation >= 0.0 for r in records)
+        led = energy_report(records, cfg.law_params(), cfg.make_grid())
+        assert led.bound_holds
+        drifts[n] = abs(led.final_drift)
+    ratio = drifts[32] / drifts[64]
+    assert 1.5 <= ratio <= 2.5
+
+    # (b) strong squeeze: a congested set forms, rho stays below 1, mass is
+    # conserved and the flux identity holds at every step
+    cfg = _rotation_squeeze(32, 300.0, 1.0)
+    state, records = run_simulation(cfg)
+    assert state.t == pytest.approx(1.0, abs=1e-10)
+    assert records[-1].meas_099 > 0.0
+    table = np.array([r.csv_values() for r in records], dtype=float)
+    col = {name: table[:, i] for i, name in enumerate(CSV_COLUMNS)}
+    max_rho = float(np.max(col["max_rho"]))
+    assert max_rho < 1.0
+    mass = col["mass"]
+    mass_drift = float(np.max(np.abs(mass - mass[0]))) / mass[0]
+    assert mass_drift <= 1e-12
+    bound = 1e-8 * (1.0 + evaluate_laws(col["max_rho"], cfg.law_params()).p)
+    flux_margin = float(np.max(col["flux_residual"] / bound))
+    assert flux_margin <= 1.0
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 120.0
+    print(f"[criterion 11] PASS: 2D drift {drifts[32]:.2e} -> {drifts[64]:.2e}, "
+          f"halving ratio {ratio:.3f} in [1.5, 2.5], bound holds; squeeze max rho "
+          f"{max_rho:.6f} < 1, congested measure {records[-1].meas_099:.4f} > 0, "
+          f"mass drift {mass_drift:.1e} <= 1e-12, flux residual at "
+          f"{flux_margin:.2f} of its bound, {elapsed:.1f}s")

@@ -221,6 +221,18 @@ def test_laws_evaluated_once_per_step(cfg, monkeypatch):
     assert calls["pressure_derivative"] == 0
 
 
+def test_2d_momentum_solve_stays_fast():
+    # the 2D momentum solve runs a few inner CG iterations per step (about 4
+    # on this run); a fallback to Jacobi CG on the full vector operator
+    # averages about 29 here and hundreds on larger grids
+    cfg = RunConfig(dim=2, n=16, t_end=0.02, epsilon=1e-2, gamma=2.0, beta=3.0,
+                    scenario="rotation_squeeze",
+                    scenario_params={"rho0": 0.6, "f0": 40.0, "rot": 20.0})
+    _, records = run_simulation(cfg)
+    assert len(records) >= 3
+    assert np.mean([r.momentum_iters for r in records]) <= 12
+
+
 def test_benchmark_tracer_bindings_exist():
     # perfbench/tracing.py wraps these module attributes by name; a binding
     # dropped from a module breaks every traced benchmark run

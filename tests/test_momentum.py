@@ -26,7 +26,7 @@ from brinkflow import (
     solve_momentum,
     solve_poisson_zero_mean,
 )
-from brinkflow.grid import cell_coords, curl_array
+from brinkflow.grid import cell_coords, curl_array, curl_t_array, div_array
 
 PARAMS = LawParams(epsilon=1e-2, delta=0.0, gamma=2.0, beta=3.0, mu=0.5, r=1.0)
 
@@ -300,3 +300,91 @@ def test_direct_solve_refines_once_then_gives_up():
     assert not rep.converged and rep.final_relative_residual > 1e-10
     _, rep = _direct(lambda v: A @ v, lambda v: np.full(3, np.nan), b, None, 1e-10)
     assert not rep.converged
+
+
+# -- 2D momentum solve through the viscous flux ------------------------------------
+
+def _momentum_system(g, rho, f, params):
+    """Dense A and right-hand side b of the momentum system on the flat unknowns."""
+    vals = evaluate_laws(rho.data, params)
+    coef = 2.0 * params.mu + vals.lam
+    size = g.n**g.dim
+
+    def column(e):
+        u = FaceVectorField(g, tuple(e[a * size:(a + 1) * size].reshape(g.shape)
+                                     for a in range(g.dim)))
+        au = apply_momentum_operator(u, coef, params.mu, params.r)
+        return np.concatenate([c.ravel() for c in au.components])
+
+    gp = gradient(ScalarField(g, vals.p)).components
+    b = np.concatenate([(f.components[a] - gp[a]).ravel() for a in range(g.dim)])
+    return _dense(column, g.dim * size), b
+
+
+def _flat(u):
+    return np.concatenate([c.ravel() for c in u.components])
+
+
+def test_div_annihilates_curl_adjoint(rng):
+    # div curl^T = 0 is what reduces the 2D system to the scalar flux equation
+    for n in (4, 7, 16):
+        g = make_grid(2, n)
+        w = rng.standard_normal(g.shape)
+        ct = curl_t_array(w, g.dx)
+        scale = float(np.max(np.abs(ct[0]))) / g.dx
+        assert float(np.max(np.abs(div_array(ct, g.dx)))) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("preconditioner", ["diagonal", "none"])
+def test_momentum_2d_matches_dense_reference(preconditioner, rng):
+    g = make_grid(2, 6)
+    rho = _congested_state(g, rng)
+    f = FaceVectorField(g, tuple(rng.standard_normal(g.shape) for _ in range(2)))
+    A, b = _momentum_system(g, rho, f, PARAMS)
+    ref = np.linalg.solve(A, b)
+    u, rep = solve_momentum(rho, f, PARAMS,
+                            opts=SolverOptions(preconditioner=preconditioner))
+    assert rep.converged and rep.iterations > 0
+    err = np.linalg.norm(_flat(u) - ref) / np.linalg.norm(ref)
+    assert err <= 1e-9
+
+
+def test_momentum_2d_reported_residual_is_measured(rng):
+    g = make_grid(2, 16)
+    rho = ScalarField(g, rng.uniform(0.2, 0.95, g.shape))
+    f = FaceVectorField(g, tuple(rng.standard_normal(g.shape) for _ in range(2)))
+    u, rep = solve_momentum(rho, f, PARAMS)
+    vals = evaluate_laws(rho.data, PARAMS)
+    au = apply_momentum_operator(u, 2.0 * PARAMS.mu + vals.lam, PARAMS.mu, PARAMS.r)
+    gp = gradient(ScalarField(g, vals.p)).components
+    b = np.concatenate([(f.components[a] - gp[a]).ravel() for a in range(2)])
+    rel = np.linalg.norm(b - _flat(au)) / np.linalg.norm(b)
+    assert 0.0 < rep.final_relative_residual <= 1e-10
+    assert rep.final_relative_residual == pytest.approx(rel, rel=1e-6)
+
+
+def test_momentum_2d_warm_start_with_exact_solution(rng):
+    g = make_grid(2, 16)
+    rho = _congested_state(g, rng)
+    f = FaceVectorField(g, tuple(rng.standard_normal(g.shape) for _ in range(2)))
+    u, rep = solve_momentum(rho, f, PARAMS)
+    assert rep.converged and rep.iterations > 0
+    u2, rep2 = solve_momentum(rho, f, PARAMS, u0=u)
+    assert rep2.converged and rep2.iterations == 0
+    assert all(np.array_equal(a, b) for a, b in zip(u2.components, u.components))
+
+
+def test_momentum_2d_iterations_independent_of_contrast(rng):
+    # at eps = 1e-4 and rho up to 0.995 the coefficient 2*mu + lam spans
+    # nearly three decades; it enters the flux equation only at zero order,
+    # so the inner CG count stays small (Jacobi CG on A took hundreds)
+    params = LawParams(epsilon=1e-4, delta=0.0, gamma=2.0, beta=3.0, mu=0.5, r=1.0)
+    g = make_grid(2, 32)
+    for _ in range(3):
+        data = rng.uniform(0.2, 0.995, g.shape)
+        data[g.n // 2] = 0.995
+        rho = ScalarField(g, data)
+        f = FaceVectorField(g, tuple(rng.standard_normal(g.shape) for _ in range(2)))
+        _, rep = solve_momentum(rho, f, params)
+        assert rep.converged and rep.final_relative_residual <= 1e-10
+        assert 0 < rep.iterations <= 40
