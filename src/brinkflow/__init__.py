@@ -46,7 +46,6 @@ from .grid import (
 )
 from .momentum import (
     SolveReport,
-    SolverOptions,
     apply_momentum_operator,
     compute_S,
     solve_momentum,
@@ -54,7 +53,6 @@ from .momentum import (
 )
 from .transport import (
     SimState,
-    StepControl,
     advect_big_lambda,
     advect_density,
     stable_dt,
@@ -100,10 +98,9 @@ __all__ = [
     "FaceVectorField", "Grid", "ScalarField", "cell_coords", "curl",
     "divergence", "face_coords", "gradient", "integral", "make_grid",
     "mean_and_measure", "read_snapshot", "write_snapshot",
-    "SolveReport", "SolverOptions", "apply_momentum_operator", "compute_S",
+    "SolveReport", "apply_momentum_operator", "compute_S",
     "solve_momentum", "solve_poisson_zero_mean",
-    "SimState", "StepControl", "advect_big_lambda", "advect_density",
-    "stable_dt",
+    "SimState", "advect_big_lambda", "advect_density", "stable_dt",
     "CSV_COLUMNS", "CongestionReport", "DiagnosticsRecord", "EnergyLedger",
     "build_record", "congestion_report", "effective_flux_report",
     "energy_report", "poincare_constant",

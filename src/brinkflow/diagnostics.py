@@ -25,7 +25,7 @@ import numpy as np
 
 from .grid import ScalarField, curl_array, div_array, mean_and_measure
 from .laws import evaluate_laws
-from .momentum import SolverOptions, compute_S
+from .momentum import compute_S
 # perfbench/tracing.py wraps this binding; keep it importable from here
 from .momentum import solve_poisson_zero_mean  # noqa: F401
 
@@ -86,12 +86,12 @@ class DiagnosticsRecord:
         return [getattr(self, name) for name in CSV_COLUMNS]
 
 
-def _flux_pieces(rho, u, f, vals, params, opts):
+def _flux_pieces(rho, u, f, vals, params):
     """Shared computation from the law values: div u, coef, F, S, residuals."""
     divu = div_array(u.components, rho.grid.dx)
     coef = 2.0 * params.mu + vals.lam
     F = coef * divu - vals.p
-    S, rep = compute_S(u, f, params, opts)
+    S, rep = compute_S(u, f, params)
     flux_residual = float(np.max(np.abs(F - F.mean() - S.data)))
     mean_rel = float(abs(
         np.mean(vals.lam * divu) - np.mean(vals.p)
@@ -100,7 +100,7 @@ def _flux_pieces(rho, u, f, vals, params, opts):
     return divu, coef, F, S, rep, flux_residual, mean_rel
 
 
-def effective_flux_report(rho, u, f, params, opts=SolverOptions()):
+def effective_flux_report(rho, u, f, params):
     """Effective viscous flux F = (2*mu+lam) div u - p and its residuals.
 
     Returns (F, S, flux_residual, mean_relation_residual) where
@@ -108,7 +108,7 @@ def effective_flux_report(rho, u, f, params, opts=SolverOptions()):
     absolute defect of mean(lam*div u) = mean(p) - sum((p+S)*nu)/sum(nu).
     """
     vals = evaluate_laws(rho.data, params)
-    _, _, F, S, _, flux_res, mean_rel = _flux_pieces(rho, u, f, vals, params, opts)
+    _, _, F, S, _, flux_res, mean_rel = _flux_pieces(rho, u, f, vals, params)
     return ScalarField(rho.grid, F), S, flux_res, mean_rel
 
 
@@ -152,8 +152,7 @@ def congestion_report(rho, u, params, theta=CONGESTION_THETA):
     return _congested_set(rho, divu, evaluate_laws(rho.data, params), params, theta)
 
 
-def build_record(state, f, params, opts=SolverOptions(), step=0, dt=0.0,
-                 momentum_iters=0, laws=None):
+def build_record(state, f, params, step=0, dt=0.0, momentum_iters=0, laws=None):
     """Assemble the full diagnostics record for the current state.
 
     ``laws`` optionally passes ``evaluate_laws(state.rho.data, params)``
@@ -166,7 +165,7 @@ def build_record(state, f, params, opts=SolverOptions(), step=0, dt=0.0,
 
     vals = laws if laws is not None else evaluate_laws(rho.data, params)
     divu, coef, F, S, poisson_rep, flux_res, mean_rel = _flux_pieces(
-        rho, u, f, vals, params, opts
+        rho, u, f, vals, params
     )
 
     if grid.dim == 2:

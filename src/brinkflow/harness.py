@@ -6,11 +6,11 @@ Time loop (operator splitting per step):
   2. solve the semi-stationary momentum system for u^n (directly in 1D,
      through the viscous flux in 2D), starting from u^{n-1},
   3. assemble the diagnostics record (includes the effective-flux solve),
-  4. pick dt = min(advective CFL, reference-velocity cap cfl*dx, pressure
+  4. pick dt = min(advective CFL cap cfl*dx/max(|u|, 1), pressure
      stiffness cap, time remaining),
   5. advect rho and big_lam with u^n; a rejected density update
-     (CongestionOverflow with delta = 0) halves dt and retries up to
-     ctrl.max_halvings before aborting the run.
+     (CongestionOverflow with delta = 0) halves dt and retries, at most
+     _MAX_HALVINGS times and never below _DT_MIN, before aborting the run.
 
 The law values of step 1 are the only evaluation in the step: the momentum
 solve, the diagnostics record, the dt controller (lam and dp/drho) and the
@@ -56,14 +56,8 @@ from .grid import (
 from .laws import LawParams, RegimeTag, evaluate_laws, regime
 # perfbench/tracing.py wraps this binding; keep it importable from here
 from .laws import pressure_derivative  # noqa: F401
-from .momentum import SolverOptions, solve_momentum
-from .transport import (
-    SimState,
-    StepControl,
-    advect_big_lambda,
-    advect_density,
-    stable_dt,
-)
+from .momentum import solve_momentum
+from .transport import SimState, advect_big_lambda, advect_density, stable_dt
 
 __all__ = [
     "RunConfig",
@@ -85,8 +79,9 @@ __all__ = [
 
 _TIME_EPS = 1e-12
 
-# velocity scale for the dt cap used when the flow is nearly at rest
-_U_REF = 1.0
+# retry budget of a rejected density update: halvings, and the smallest dt
+_MAX_HALVINGS = 20
+_DT_MIN = 1e-12
 
 SWEEP_METRICS = (
     "L1_p", "L1_big_lam", "excl_p", "excl_big_lam",
@@ -120,15 +115,14 @@ class RunConfig:
             raise ConfigError(f"t_end must be > 0, got {self.t_end}")
         if self.snapshot_every < 0:
             raise ConfigError(f"snapshot_every must be >= 0, got {self.snapshot_every}")
+        if not (0.0 < self.cfl <= 1.0):
+            raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
 
     def law_params(self):
         return LawParams(
             epsilon=self.epsilon, delta=self.delta, gamma=self.gamma,
             beta=self.beta, mu=self.mu, r=self.r,
         )
-
-    def step_control(self):
-        return StepControl(cfl=self.cfl)
 
     def make_grid(self):
         return make_grid(self.dim, self.n, self.length)
@@ -301,9 +295,8 @@ def build_scenario(config, grid):
 
 # -- time loop ----------------------------------------------------------------
 
-def _controller_dt(u, rho, vals, grid, ctrl, params, t, t_end, snapshot_every):
-    dt = stable_dt(u, grid, ctrl)
-    dt = min(dt, ctrl.cfl * grid.dx / _U_REF)
+def _controller_dt(u, rho, vals, grid, cfl, params, t, t_end, snapshot_every):
+    dt = stable_dt(u, grid, cfl)
     # explicit stability of the density-pressure coupling
     stiff = rho.data * vals.dp
     m = float(np.max(stiff))
@@ -327,7 +320,7 @@ def _write_state_snapshots(outdir, state, grid):
                        comp, state.t)
 
 
-def run_simulation(config, outdir=None, opts=SolverOptions()):
+def run_simulation(config, outdir=None):
     """Integrate one configuration to t_end.
 
     Returns (final SimState, list of DiagnosticsRecords).  Records are
@@ -339,7 +332,6 @@ def run_simulation(config, outdir=None, opts=SolverOptions()):
     """
     grid = config.make_grid()
     params = config.law_params()
-    ctrl = config.step_control()
     rho0, f = build_scenario(config, grid)
 
     vals = evaluate_laws(rho0.data, params)
@@ -358,7 +350,7 @@ def run_simulation(config, outdir=None, opts=SolverOptions()):
     u_prev = None
     while True:
         try:
-            u, mrep = solve_momentum(state.rho, f, params, opts, u0=u_prev, laws=vals)
+            u, mrep = solve_momentum(state.rho, f, params, u0=u_prev, laws=vals)
         except SolverDiverged as exc:
             exc.records = records
             raise
@@ -366,7 +358,7 @@ def run_simulation(config, outdir=None, opts=SolverOptions()):
         u_prev = u
 
         rec, _ = build_record(
-            state, f, params, opts, step=state.step_count, dt=0.0,
+            state, f, params, step=state.step_count, dt=0.0,
             momentum_iters=mrep.iterations, laws=vals,
         )
 
@@ -378,16 +370,16 @@ def run_simulation(config, outdir=None, opts=SolverOptions()):
             records.append(rec)
             break
 
-        dt = _controller_dt(u, state.rho, vals, grid, ctrl, params,
+        dt = _controller_dt(u, state.rho, vals, grid, config.cfl, params,
                             state.t, config.t_end, config.snapshot_every)
 
         new_rho = None
-        for attempt in range(ctrl.max_halvings + 1):
+        for attempt in range(_MAX_HALVINGS + 1):
             try:
-                new_rho = advect_density(state.rho, u, dt, params, ctrl)
+                new_rho = advect_density(state.rho, u, dt, params)
                 break
             except CongestionOverflow as exc:
-                if attempt == ctrl.max_halvings or 0.5 * dt < ctrl.dt_min:
+                if attempt == _MAX_HALVINGS or 0.5 * dt < _DT_MIN:
                     rec.dt = dt
                     exc.records = records + [rec]
                     raise
@@ -510,7 +502,7 @@ def _aggregate(records):
     return metrics
 
 
-def sweep(config, axis, values, outdir=None, opts=SolverOptions()):
+def sweep(config, axis, values, outdir=None):
     """Rerun ``config`` for each axis value; aggregate metrics per run.
 
     axis is "epsilon" or "delta"; values must be strictly decreasing.
@@ -532,7 +524,7 @@ def sweep(config, axis, values, outdir=None, opts=SolverOptions()):
             rundir = os.path.join(outdir, f"run_{i:02d}_{axis}_{v:.6g}")
             os.makedirs(rundir, exist_ok=True)
         try:
-            _, records = run_simulation(cfg, outdir=rundir, opts=opts)
+            _, records = run_simulation(cfg, outdir=rundir)
             if rundir is not None:
                 write_diagnostics_csv(os.path.join(rundir, "diagnostics.csv"), records)
             rows.append(SweepRow(v, "ok", _aggregate(records)))

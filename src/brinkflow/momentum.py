@@ -22,7 +22,9 @@ A u = b splits into
 
 Step 1 is solved by conjugate gradients preconditioned with the FFT inverse
 of -Delta_h + mean(r/c); the variable coefficient enters only at zero
-order, so a few iterations suffice however large the contrast in c.
+order, so a few iterations suffice however large the contrast in c.  Each
+CG runs to the relative tolerance 1e-3 * _TOL within 50 * n * dim
+iterations.
 H has constant coefficients, so step 2 is one exact FFT solve: on the
 Fourier mode with grad symbol a, H^{-1} = P/r + (I - P)/(mu |a|^2 + r)
 with P = a a^H / |a|^2 (and 1/r on the zero mode).
@@ -34,10 +36,11 @@ the zero-mean part of the effective viscous flux F = (2*mu+lam) div u - p
 directly from force and drag: -Delta_h S = div(f - r*u), so F = mean(F) + S
 holds exactly at the discrete level.
 
-Every solve returns a ``SolveReport``.  A direct solve measures its residual
-with one application of the operator and reports 1 iteration; the 2D
-momentum solve reports the total of its inner CG iterations.  Both report 0
-for a zero right-hand side or a warm start that already meets the tolerance.
+Every solve targets the fixed relative residual _TOL = 1e-10 and returns a
+``SolveReport``.  A direct solve measures its residual with one application
+of the operator and reports 1 iteration; the 2D momentum solve reports the
+total of its inner CG iterations.  Both report 0 for a zero right-hand side
+or a warm start that already meets the tolerance.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CompatibilityError, ConfigError, SolverDiverged
+from .errors import CompatibilityError, SolverDiverged
 from .grid import (
     FaceVectorField,
     ScalarField,
@@ -59,7 +62,6 @@ from .grid import (
 from .laws import evaluate_laws
 
 __all__ = [
-    "SolverOptions",
     "SolveReport",
     "solve_momentum",
     "solve_poisson_zero_mean",
@@ -68,35 +70,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Solver controls.
-
-    tol            : relative residual target, in (0, 1e-4]; a solve that
-                     misses it takes one step of iterative refinement
-    max_iter       : iteration budget of each inner CG on the 2D flux
-                     equation; None means 50*n per dimension
-    preconditioner : preconditioner of that inner CG: "diagonal" divides by
-                     the Fourier symbol of -Delta_h + mean(r/c), which is
-                     diagonal in the Fourier basis; "none" runs plain CG
-    """
-
-    tol: float = 1e-10
-    max_iter: int | None = None
-    preconditioner: str = "diagonal"
-
-    def __post_init__(self):
-        if not (0.0 < self.tol <= 1e-4):
-            raise ConfigError(f"tol must lie in (0, 1e-4], got {self.tol}")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.preconditioner not in ("none", "diagonal"):
-            raise ConfigError(f"unknown preconditioner '{self.preconditioner}'")
-
-    def iteration_budget(self, grid):
-        if self.max_iter is not None:
-            return self.max_iter
-        return 50 * grid.n * grid.dim
+# relative residual every solve must reach; a direct solve that misses it
+# takes one step of iterative refinement
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -106,19 +82,16 @@ class SolveReport:
     converged: bool
 
 
-def _cg(apply_op, b, x0, tol, max_iter, precond=None):
-    """Plain preconditioned CG on flat arrays; returns (x, report)."""
-    x = x0.copy()
+def _cg(apply_op, b, tol, max_iter, precond):
+    """Preconditioned CG from x = 0 on flat arrays; returns (x, report)."""
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros_like(b), SolveReport(0, 0.0, True)
 
-    r = b - apply_op(x)
-    rel = float(np.linalg.norm(r)) / b_norm
-    if rel <= tol:
-        return x, SolveReport(0, rel, True)
-
-    z = precond(r) if precond is not None else r
+    x = np.zeros_like(b)
+    r = b.copy()
+    rel = 1.0
+    z = precond(r)
     p = z.copy()
     rz = float(np.dot(r, z))
     iters = 0
@@ -134,7 +107,7 @@ def _cg(apply_op, b, x0, tol, max_iter, precond=None):
         rel = float(np.linalg.norm(r)) / b_norm
         if rel <= tol:
             return x, SolveReport(iters, rel, True)
-        z = precond(r) if precond is not None else r
+        z = precond(r)
         rz_new = float(np.dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -251,14 +224,15 @@ def _fourier_symbols(dim, n, dx):
     return _FourierSymbols(lap, unit)
 
 
-def _flux_reduced_solver(coef, mu, r, grid, opts, inner_reports):
+def _flux_reduced_solver(coef, mu, r, grid, inner_reports):
     """2D momentum solve through the viscous flux; returns a solve for A x = b.
 
-    Each call solves (-Delta_h + r/c) Fv = div b by preconditioned CG and
-    returns H^{-1} b + grad(Fv)/r (see the module docstring).  The CG
-    reports are appended to ``inner_reports``; one that misses its tolerance
-    within ``opts.iteration_budget`` raises SolverDiverged.  The CG
-    tolerance is 1e-3 * opts.tol: the momentum residual of the result is
+    Each call solves (-Delta_h + r/c) Fv = div b by CG, preconditioned with
+    the Fourier symbol of -Delta_h + mean(r/c), and returns
+    H^{-1} b + grad(Fv)/r (see the module docstring).  The CG reports are
+    appended to ``inner_reports``; one that misses its tolerance within
+    50 * n * dim iterations raises SolverDiverged.  The CG tolerance is
+    1e-3 * _TOL: the momentum residual of the result is
     grad((c/r) * flux residual), which the contrast in c amplifies.
     """
     sym = _fourier_symbols(grid.dim, grid.n, grid.dx)
@@ -273,20 +247,17 @@ def _flux_reduced_solver(coef, mu, r, grid, opts, inner_reports):
         s = v.reshape(grid.shape)
         return (_apply_neg_laplacian(s, grid) + shift * s).ravel()
 
-    precond = None
-    if opts.preconditioner == "diagonal":
-        inv_pre = 1.0 / (sym.lap + m)
-        inv_pre[0, 0] = 1.0 / m
+    inv_pre = 1.0 / (sym.lap + m)
+    inv_pre[0, 0] = 1.0 / m
 
-        def precond(v):
-            vh = np.fft.rfftn(v.reshape(grid.shape), axes=axes) * inv_pre
-            return np.fft.irfftn(vh, s=grid.shape, axes=axes).ravel()
+    def precond(v):
+        vh = np.fft.rfftn(v.reshape(grid.shape), axes=axes) * inv_pre
+        return np.fft.irfftn(vh, s=grid.shape, axes=axes).ravel()
 
     def solve(b):
         comps = _unflatten(b, grid)
         g = div_array(comps, grid.dx).ravel()
-        fv, rep = _cg(flux_op, g, np.zeros_like(g), 1e-3 * opts.tol,
-                      opts.iteration_budget(grid), precond=precond)
+        fv, rep = _cg(flux_op, g, 1e-3 * _TOL, 50 * grid.n * grid.dim, precond)
         inner_reports.append(rep)
         _check_converged(rep, "momentum flux CG")
         bh = [np.fft.rfftn(c, axes=axes) for c in comps]
@@ -353,14 +324,15 @@ def _cyclic_tridiagonal_solver(coef, r, dx):
     return solve
 
 
-def solve_momentum(rho, f, params, opts=SolverOptions(), u0=None, laws=None):
+def solve_momentum(rho, f, params, u0=None, laws=None):
     """Solve A u = f - grad(p(rho)) for the velocity.
 
     rho : ScalarField (density), f : FaceVectorField (force).
     u0 optionally warm-starts the solve: only its residual is solved for,
     and it is returned unchanged, with 0 iterations, when it already meets
-    opts.tol.  ``laws`` optionally passes ``evaluate_laws(rho.data, params)``
-    when the caller already holds it; the solution is the same either way.
+    the tolerance.  ``laws`` optionally passes
+    ``evaluate_laws(rho.data, params)`` when the caller already holds it; the
+    solution is the same either way.
     Returns (u, SolveReport); raises SolverDiverged when the tolerance is
     missed, with the report attached to the exception.
     """
@@ -374,13 +346,13 @@ def solve_momentum(rho, f, params, opts=SolverOptions(), u0=None, laws=None):
     def apply_op(v):
         return _apply_momentum_flat(v, coef, params.mu, params.r, grid)
 
+    inner = []
     if grid.dim == 1:
         solve = _cyclic_tridiagonal_solver(coef, params.r, grid.dx)
-        x, report = _direct(apply_op, solve, b, x0, opts.tol)
     else:
-        inner = []
-        solve = _flux_reduced_solver(coef, params.mu, params.r, grid, opts, inner)
-        x, report = _direct(apply_op, solve, b, x0, opts.tol)
+        solve = _flux_reduced_solver(coef, params.mu, params.r, grid, inner)
+    x, report = _direct(apply_op, solve, b, x0, _TOL)
+    if grid.dim == 2:
         report = replace(report, iterations=sum(rep.iterations for rep in inner))
     _check_converged(report, "momentum solve")
     return FaceVectorField(grid, _unflatten(x, grid)), report
@@ -392,12 +364,12 @@ def _apply_neg_laplacian(s, grid):
     return -div_array(grad_array(s, grid.dx, grid.dim), grid.dx)
 
 
-def solve_poisson_zero_mean(g, opts=SolverOptions()):
+def solve_poisson_zero_mean(g):
     """Solve -Delta_h s = g with mean(s) = 0 on the periodic grid, by FFT.
 
     Requires |mean(g)| <= 1e-10 * max|g| (solvability); raises
     CompatibilityError otherwise.  The mean of g is projected out before
-    the solve.  Raises SolverDiverged if the residual misses opts.tol after
+    the solve.  Raises SolverDiverged if the residual misses _TOL after
     one refinement step.
     """
     grid = g.grid
@@ -419,12 +391,12 @@ def solve_poisson_zero_mean(g, opts=SolverOptions()):
         return np.fft.irfftn(vh, s=grid.shape, axes=axes)
 
     b = data - g_mean
-    x, report = _direct(lambda v: _apply_neg_laplacian(v, grid), solve, b, None, opts.tol)
+    x, report = _direct(lambda v: _apply_neg_laplacian(v, grid), solve, b, None, _TOL)
     _check_converged(report, "poisson FFT solve")
     return ScalarField(grid, x - x.mean()), report
 
 
-def compute_S(u, f, params, opts=SolverOptions()):
+def compute_S(u, f, params):
     """Zero-mean part of the effective viscous flux.
 
     S solves -Delta_h S = div(f - r*u) with mean(S) = 0, so that
@@ -434,4 +406,4 @@ def compute_S(u, f, params, opts=SolverOptions()):
     grid = u.grid
     comps = [f.components[a] - params.r * u.components[a] for a in range(grid.dim)]
     rhs = ScalarField(grid, div_array(tuple(comps), grid.dx))
-    return solve_poisson_zero_mean(rhs, opts)
+    return solve_poisson_zero_mean(rhs)

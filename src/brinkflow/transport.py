@@ -21,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CongestionOverflow, ConfigError
+from .errors import CongestionOverflow
 from .grid import ScalarField, div_array
 
-__all__ = ["SimState", "StepControl", "stable_dt", "advect_density", "advect_big_lambda"]
+__all__ = ["SimState", "stable_dt", "advect_density", "advect_big_lambda"]
 
-_TINY_SPEED = 1e-14
+# velocity scale for the dt cap used when the flow is nearly at rest
+_U_REF = 1.0
 
 
 @dataclass
@@ -40,26 +41,9 @@ class SimState:
     step_count: int = 0
 
 
-@dataclass(frozen=True)
-class StepControl:
-    """Time-step controls: CFL number, smallest admissible dt, retry budget."""
-
-    cfl: float = 0.4
-    dt_min: float = 1e-12
-    max_halvings: int = 20
-
-    def __post_init__(self):
-        if not (0.0 < self.cfl <= 1.0):
-            raise ConfigError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not (self.dt_min > 0.0):
-            raise ConfigError(f"dt_min must be > 0, got {self.dt_min}")
-        if self.max_halvings < 0:
-            raise ConfigError(f"max_halvings must be >= 0, got {self.max_halvings}")
-
-
-def stable_dt(u, grid, ctrl):
-    """Advective CFL time step: cfl * dx / max(|u|, tiny)."""
-    return ctrl.cfl * grid.dx / max(u.max_abs(), _TINY_SPEED)
+def stable_dt(u, grid, cfl):
+    """Advective CFL time step: cfl * dx / max(|u|, _U_REF)."""
+    return cfl * grid.dx / max(u.max_abs(), _U_REF)
 
 
 def _upwind_flux(cell_data, u_comp, axis):
@@ -75,7 +59,7 @@ def _flux_divergence(cell_data, u):
     return div_array(fluxes, u.grid.dx)
 
 
-def advect_density(rho, u, dt, params, ctrl):
+def advect_density(rho, u, dt, params):
     """One conservative upwind step; returns the new density field.
 
     Raises CongestionOverflow (without committing anything) if delta = 0 and

@@ -100,6 +100,22 @@ def test_simulate_bad_key_is_config_error(tmp_path):
     assert rc == 2
 
 
+def test_simulate_bad_cfl_is_config_error(tmp_path):
+    cfg = write_cfg(tmp_path, GOOD_CFG + "cfl = 1.5\n")
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+
+
+def test_simulate_solver_stall_exit_code(tmp_path, stall_momentum):
+    stall_momentum(1)
+    cfg = write_cfg(tmp_path, GOOD_CFG)
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 3
+    # the record of the one completed step lands on disk
+    lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0,")
+
+
 def test_simulate_congestion_overflow_exit_code(tmp_path, capsys):
     cfg = write_cfg(tmp_path, OVERFLOW_CFG)
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -11,7 +11,6 @@ from brinkflow import (
     LawParams,
     ScalarField,
     SimState,
-    SolverOptions,
     build_record,
     congestion_report,
     effective_flux_report,
@@ -64,15 +63,14 @@ def test_flux_residual_manufactured():
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
 def test_flux_residual_random_smooth_states(dim, n, rng):
     g = make_grid(dim, n)
-    opts = SolverOptions(tol=1e-10)
     for _ in range(5):
         rho = ScalarField(g, smooth_field(g, rng, 0.1, 0.8))
         f = FaceVectorField(g, tuple(smooth_field(g, rng, -1.0, 1.0)
                                      for _ in range(dim)))
-        u, _ = solve_momentum(rho, f, PARAMS, opts=opts)
-        _, _, flux_res, mean_rel = effective_flux_report(rho, u, f, PARAMS, opts=opts)
-        assert flux_res <= 100 * opts.tol
-        assert mean_rel <= 100 * opts.tol
+        u, _ = solve_momentum(rho, f, PARAMS)
+        _, _, flux_res, mean_rel = effective_flux_report(rho, u, f, PARAMS)
+        assert flux_res <= 100 * 1e-10   # 100 * solver tolerance
+        assert mean_rel <= 100 * 1e-10
 
 
 def test_congestion_report_counting():

@@ -1,7 +1,9 @@
 """Harness tests: config parsing, scenarios, the time loop, sweeps, rate
 fits, and regime classification on synthetic tables."""
 
+import importlib
 import importlib.util
+import pkgutil
 import types
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from brinkflow import (
     FitDegenerate,
     RegimeTag,
     RunConfig,
+    SolverDiverged,
     SweepDegenerate,
     SweepRow,
     SweepTable,
@@ -76,6 +79,8 @@ def test_parse_config_all_optional_keys():
     "just a line without equals",
     "t_end = -1.0",
     "snapshot_every = -0.5",
+    "cfl = 0",
+    "cfl = 1.5",
 ])
 def test_parse_config_rejects(mutation):
     with pytest.raises(ConfigError):
@@ -249,6 +254,15 @@ def test_benchmark_tracer_bindings_exist():
         assert callable(getattr(owner, attr, None)), (attr, name)
 
 
+def test_exported_names_resolve():
+    # a stale __all__ entry only fails on "from <module> import *"
+    modules = [brinkflow] + [importlib.import_module(f"brinkflow.{info.name}")
+                             for info in pkgutil.iter_modules(brinkflow.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (module.__name__, name)
+
+
 OVERFLOW_TEXT = """
 dim = 1
 n = 64
@@ -272,6 +286,15 @@ def test_congestion_abort_attaches_records():
     assert exc.new_max_rho >= 1.0
     assert exc.records, "partial records should accompany the abort"
     assert exc.records[-1].dt > 0.0
+
+
+def test_solver_stall_attaches_records(stall_momentum):
+    stall_momentum(2)
+    with pytest.raises(SolverDiverged) as exc_info:
+        run_simulation(parse_config(BASE_TEXT))
+    records = exc_info.value.records
+    assert [r.step for r in records] == [0, 1]
+    assert all(r.dt > 0.0 for r in records)
 
 
 def synth_table(values, metric_fn, axis="epsilon", params=None):
@@ -466,6 +489,19 @@ def test_sweep_records_failures(tmp_path):
     assert (tmp_path / "sweep.csv").exists()
     loaded = SweepTable.load(tmp_path / "sweep.csv")
     assert all(not r.ok for r in loaded.rows)
+
+
+def test_sweep_records_solver_stall(tmp_path, stall_momentum):
+    # the first run stalls after one step; the other runs complete
+    stall_momentum(1)
+    table = sweep(parse_config(BASE_TEXT), "epsilon", [1e-1, 1e-2, 1e-3, 1e-4],
+                  outdir=str(tmp_path))
+    assert [r.status for r in table.rows] == ["failed:SolverDiverged"] + ["ok"] * 3
+    assert table.rows[0].metrics == {}
+    partial = sorted(tmp_path.glob("run_00_*"))[0] / "diagnostics.csv"
+    assert len(partial.read_text().splitlines()) == 2   # header + one record
+    loaded = SweepTable.load(tmp_path / "sweep.csv")
+    assert loaded.rows[0].status == "failed:SolverDiverged"
 
 
 def test_write_report(tmp_path):

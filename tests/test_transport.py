@@ -10,11 +10,9 @@ import pytest
 
 from brinkflow import (
     CongestionOverflow,
-    ConfigError,
     FaceVectorField,
     LawParams,
     ScalarField,
-    StepControl,
     advect_big_lambda,
     advect_density,
     make_grid,
@@ -24,32 +22,22 @@ from brinkflow.grid import cell_coords
 
 EXACT = LawParams(epsilon=1e-2, delta=0.0, gamma=2.0, beta=3.0)
 TRUNC = LawParams(epsilon=1e-2, delta=0.2, gamma=2.0, beta=3.0)
-CTRL = StepControl()
-
-
-def test_step_control_validation():
-    with pytest.raises(ConfigError):
-        StepControl(cfl=0.0)
-    with pytest.raises(ConfigError):
-        StepControl(cfl=1.5)
-    with pytest.raises(ConfigError):
-        StepControl(dt_min=0.0)
-    with pytest.raises(ConfigError):
-        StepControl(max_halvings=-1)
 
 
 def test_stable_dt():
     g = make_grid(1, 32)
     u = FaceVectorField(g, (np.full(g.shape, -2.0),))
-    assert stable_dt(u, g, CTRL) == CTRL.cfl * g.dx / 2.0
-    # zero velocity still returns a finite (huge) step
-    assert np.isfinite(stable_dt(FaceVectorField.zeros(g), g, CTRL))
+    assert stable_dt(u, g, 0.4) == 0.4 * g.dx / 2.0
+    # below the unit reference speed the step is capped at cfl * dx
+    slow = FaceVectorField(g, (np.full(g.shape, 0.5),))
+    assert stable_dt(slow, g, 0.4) == 0.4 * g.dx
+    assert stable_dt(FaceVectorField.zeros(g), g, 0.4) == 0.4 * g.dx
 
 
 def test_zero_velocity_leaves_density_unchanged(rng):
     g = make_grid(2, 16)
     rho = ScalarField(g, rng.uniform(0.1, 0.8, g.shape))
-    new = advect_density(rho, FaceVectorField.zeros(g), 0.01, EXACT, CTRL)
+    new = advect_density(rho, FaceVectorField.zeros(g), 0.01, EXACT)
     np.testing.assert_array_equal(new.data, rho.data)
 
 
@@ -59,7 +47,7 @@ def test_unit_cfl_shifts_exactly_one_cell(rng):
     rho = ScalarField(g, rng.uniform(0.1, 0.8, g.shape))
     c = 0.7
     u = FaceVectorField(g, (np.full(g.shape, c),))
-    new = advect_density(rho, u, g.dx / c, EXACT, CTRL)
+    new = advect_density(rho, u, g.dx / c, EXACT)
     np.testing.assert_allclose(new.data, np.roll(rho.data, 1), rtol=1e-13)
 
 
@@ -69,12 +57,12 @@ def _translation_error(n):
     rho0 = 0.45 + 0.25 * np.sin(2 * np.pi * x)
     u = FaceVectorField(g, (np.ones(g.shape),))
     t_end = 0.5
-    dt = CTRL.cfl * g.dx
+    dt = 0.4 * g.dx
     steps = int(np.ceil(t_end / dt))
     dt = t_end / steps
     rho = ScalarField(g, rho0)
     for _ in range(steps):
-        rho = advect_density(rho, u, dt, EXACT, CTRL)
+        rho = advect_density(rho, u, dt, EXACT)
     exact = 0.45 + 0.25 * np.sin(2 * np.pi * (x - t_end))
     return float(np.sum(np.abs(rho.data - exact))) * g.dx
 
@@ -95,7 +83,7 @@ def test_mass_conservation(dim, rng):
     dt = 0.2 * g.dx / u.max_abs() / dim
     # truncated laws: compression may legitimately exceed rho = 1 here
     for _ in range(50):
-        rho = advect_density(rho, u, dt, TRUNC, CTRL)
+        rho = advect_density(rho, u, dt, TRUNC)
     assert abs(float(np.sum(rho.data)) - mass0) <= 1e-12 * mass0
 
 
@@ -109,7 +97,7 @@ def test_positivity_preserved(rng):
             u = FaceVectorField(g, tuple(rng.uniform(-1.0, 1.0, g.shape)
                                          for _ in range(dim)))
             dt = cfl * g.dx / u.max_abs()
-            new = advect_density(rho, u, dt, TRUNC, CTRL)
+            new = advect_density(rho, u, dt, TRUNC)
             assert float(np.min(new.data)) >= -1e-15
 
 
@@ -121,13 +109,13 @@ def test_congestion_overflow_raised_before_commit():
     u = FaceVectorField(g, (uvals,))
     dt = 0.1 * g.dx
     with pytest.raises(CongestionOverflow) as exc_info:
-        advect_density(rho, u, dt, EXACT, CTRL)
+        advect_density(rho, u, dt, EXACT)
     # cell 3 gains 0.5*(rho_2 + rho_4)*dt/dx = 0.95*1.1
     assert exc_info.value.new_max_rho == pytest.approx(1.045, rel=1e-12)
     # the input field was not modified
     assert float(np.max(rho.data)) == 0.95
     # with a truncation the same step commits a value above 1
-    new = advect_density(rho, u, dt, TRUNC, CTRL)
+    new = advect_density(rho, u, dt, TRUNC)
     assert float(np.max(new.data)) == pytest.approx(1.045, rel=1e-12)
 
 
