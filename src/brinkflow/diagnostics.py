@@ -11,6 +11,21 @@ beta = gamma+1) hold exactly for these, while the transported memory field
 carries O(dx) scheme drift.  The transported field is monitored separately
 through the drift extras.
 
+The flux columns check the identity of the momentum solve that produced u.
+The time loop solves with the pressure linearised in time, which turns the
+bulk coefficient into c' = 2*mu + lam + dt*rho*p'(rho) (dt of that solve, 0
+for the final record and for a plain ``solve_momentum``).  With the effective
+viscous flux F = c' div u - p and S from ``compute_S``:
+
+  flux_residual          = max |F - mean(F) - S|, at the solver tolerance;
+  mean_relation_residual = |mean((c' - 2*mu) div u) - mean(p)
+                            + sum((p + S)/c') / sum(1/c')|,
+                           the defect of the mean of F recovered from
+                           mean(div u) = 0.
+
+Everything else (L1_lambda, dissipation and so the energy ledger) uses the
+physical coefficient 2*mu + lam.
+
 The congested-set quantities (measure above a threshold, max |div u| and the
 rho*p = (beta-1)*big_lam residual on that set, and the exclusion sums) come
 from one private helper, ``_congested_set``: ``build_record`` fills its
@@ -86,16 +101,22 @@ class DiagnosticsRecord:
         return [getattr(self, name) for name in CSV_COLUMNS]
 
 
-def _flux_pieces(rho, u, f, vals, params):
-    """Shared computation from the law values: div u, coef, F, S, residuals."""
+def _flux_pieces(rho, u, f, vals, params, solve_dt=0.0):
+    """Shared computation from the law values: div u, coef, F, S, residuals.
+
+    coef = 2*mu + lam is the physical bulk coefficient; F and the residuals
+    use the coefficient of the momentum solve, coef + solve_dt*rho*dp.
+    """
     divu = div_array(u.components, rho.grid.dx)
     coef = 2.0 * params.mu + vals.lam
-    F = coef * divu - vals.p
+    bulk = vals.lam + solve_dt * rho.data * vals.dp
+    total = 2.0 * params.mu + bulk
+    F = total * divu - vals.p
     S, rep = compute_S(u, f, params)
     flux_residual = float(np.max(np.abs(F - F.mean() - S.data)))
     mean_rel = float(abs(
-        np.mean(vals.lam * divu) - np.mean(vals.p)
-        + np.sum((vals.p + S.data) * vals.nu) / np.sum(vals.nu)
+        np.mean(bulk * divu) - np.mean(vals.p)
+        + np.sum((vals.p + S.data) / total) / np.sum(1.0 / total)
     ))
     return divu, coef, F, S, rep, flux_residual, mean_rel
 
@@ -152,11 +173,15 @@ def congestion_report(rho, u, params, theta=CONGESTION_THETA):
     return _congested_set(rho, divu, evaluate_laws(rho.data, params), params, theta)
 
 
-def build_record(state, f, params, step=0, dt=0.0, momentum_iters=0, laws=None):
+def build_record(state, f, params, step=0, dt=0.0, momentum_iters=0, laws=None,
+                 solve_dt=0.0):
     """Assemble the full diagnostics record for the current state.
 
     ``laws`` optionally passes ``evaluate_laws(state.rho.data, params)``
     when the caller already holds it; the record is the same either way.
+    ``solve_dt`` is the dt at which the momentum solve linearised the
+    pressure (0 for the exact semi-stationary solve): flux_residual and
+    mean_relation_residual check the identity of that solve.
     Returns (record, S), S being the zero-mean flux part from ``compute_S``.
     """
     rho, u = state.rho, state.u
@@ -165,7 +190,7 @@ def build_record(state, f, params, step=0, dt=0.0, momentum_iters=0, laws=None):
 
     vals = laws if laws is not None else evaluate_laws(rho.data, params)
     divu, coef, F, S, poisson_rep, flux_res, mean_rel = _flux_pieces(
-        rho, u, f, vals, params
+        rho, u, f, vals, params, solve_dt
     )
 
     if grid.dim == 2:

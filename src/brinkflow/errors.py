@@ -35,14 +35,19 @@ class CompatibilityError(BrinkflowError):
 
 
 class CongestionOverflow(BrinkflowError):
-    """A transport update tried to push a cell density to 1 with delta = 0.
+    """A density update with delta = 0 came too close to packing.
 
+    Raised by the transport when a cell would reach rho >= 1, and by the
+    time loop when a cell would close more than half its gap 1 - rho.
     ``new_max_rho`` is the rejected maximum; ``records`` holds partial
     diagnostics when raised as a run failure.
     """
 
     def __init__(self, new_max_rho, records=None):
-        super().__init__(f"density update rejected: max rho would reach {new_max_rho:.6g} >= 1")
+        super().__init__(
+            f"density update rejected: max rho would reach {new_max_rho:.6g} "
+            "(packing is 1; no cell may close more than half its gap to it in one step)"
+        )
         self.new_max_rho = new_max_rho
         self.records = records
 

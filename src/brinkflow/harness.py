@@ -3,23 +3,34 @@
 Time loop (operator splitting per step):
 
   1. evaluate the laws at rho^n,
-  2. solve the semi-stationary momentum system for u^n (directly in 1D,
-     through the viscous flux in 2D), starting from u^{n-1},
-  3. assemble the diagnostics record (includes the effective-flux solve),
-  4. pick dt = min(advective CFL cap cfl*dx/max(|u|, 1), pressure
-     stiffness cap, time remaining),
-  5. advect rho and big_lam with u^n; a rejected density update
-     (CongestionOverflow with delta = 0) halves dt and retries, at most
-     _MAX_HALVINGS times and never below _DT_MIN, before aborting the run.
+  2. pick dt = min(advective CFL cap cfl*dx/max(|u^{n-1}|, 1) of the
+     previous velocity (u = 0 on the first step), snapshot_every, time
+     remaining),
+  3. solve the semi-stationary momentum system for u^n (directly in 1D,
+     through the viscous flux in 2D) with the pressure linearised in time,
+     starting from u^{n-1},
+  4. assemble the diagnostics record (includes the effective-flux solve),
+  5. lower dt to the CFL cap of u^n, without solving again,
+  6. advect rho and big_lam with u^n; a rejected density update
+     (CongestionOverflow with delta = 0: some cell would close more than
+     half its gap to packing) halves dt and retries, at most _MAX_HALVINGS
+     times and never below _DT_MIN, before aborting the run.
+
+The pressure is linearly implicit (asymptotic preserving, after Degond, Hua
+& Navoret, J. Comput. Phys. 230 (2011)).  Transport gives
+rho^{n+1} = rho - dt*div(rho u); keeping its compression part
+-dt*rho*div u, p(rho^{n+1}) ~ p - dt*rho*p'(rho)*div u.  Solving the momentum system with
+p(rho^{n+1}) in place of p(rho^n) therefore only adds dt*rho*p' to the bulk
+coefficient 2*mu + lam, and the same SPD solves take it unchanged.  An
+explicit pressure would need dt <= (2*mu+lam)/(rho*p') for stability, a cap
+that shrinks as eps -> 0; here that ratio is a coefficient instead.  Step 5
+only lowers dt, so u^n is linearised at a dt at least as large as the one
+taken, which adds damping and nothing else.  The final record (dt = 0)
+holds the exact semi-stationary solve.
 
 The law values of step 1 are the only evaluation in the step: the momentum
-solve, the diagnostics record, the dt controller (lam and dp/drho) and the
-big_lam source -lam * div u all reuse them.
-
-The stiffness cap min_cells (2*mu+lam)/(rho * p'(rho)) keeps the explicit
-density-pressure coupling stable when the bulk viscosity grows slower than
-the pressure stiffness (beta < gamma + 1); it comes from a linear stability
-estimate of the splitting around local force balance.
+solve, the diagnostics record and the big_lam source -lam * div u all reuse
+them.
 
 Sweeps rerun one configuration while varying epsilon or delta, aggregate
 final-time and max-over-time metrics per run, and feed log-log rate fits and
@@ -111,6 +122,12 @@ class RunConfig:
     scenario_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for key in sorted(_FLOAT_KEYS):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
+        for key, val in sorted(self.scenario_params.items()):
+            if not math.isfinite(val):
+                raise ConfigError(f"scenario.{key} must be finite, got {val}")
         if not (self.t_end > 0):
             raise ConfigError(f"t_end must be > 0, got {self.t_end}")
         if self.snapshot_every < 0:
@@ -295,17 +312,22 @@ def build_scenario(config, grid):
 
 # -- time loop ----------------------------------------------------------------
 
-def _controller_dt(u, rho, vals, grid, cfl, params, t, t_end, snapshot_every):
-    dt = stable_dt(u, grid, cfl)
-    # explicit stability of the density-pressure coupling
-    stiff = rho.data * vals.dp
-    m = float(np.max(stiff))
-    if m > 0.0:
-        dt = min(dt, float(np.min((2.0 * params.mu + vals.lam)
-                                  / np.maximum(stiff, 1e-300))))
+def _controller_dt(cap, t, t_end, snapshot_every):
+    """dt of the momentum solve: the previous velocity's CFL cap ``cap``, at
+    most snapshot_every and the time left."""
+    dt = cap
     if snapshot_every > 0.0:
         dt = min(dt, snapshot_every)
     return min(dt, t_end - t)
+
+
+def _check_gap(rho, new_rho, params):
+    """With delta = 0, reject (CongestionOverflow) an update that closes more
+    than half the gap 1 - rho in some cell: the linearised pressure is only
+    accurate while a step changes rho by a small fraction of 1 - rho, and
+    without this guard an advancing congested front overshoots in one step."""
+    if params.delta == 0.0 and np.any(new_rho.data - rho.data > 0.5 * (1.0 - rho.data)):
+        raise CongestionOverflow(float(np.max(new_rho.data)))
 
 
 def _write_state_snapshots(outdir, state, grid):
@@ -347,36 +369,41 @@ def run_simulation(config, outdir=None):
         snap_dir = os.path.join(outdir, "snapshots")
 
     records = []
-    u_prev = None
+    cap = stable_dt(state.u, grid, config.cfl)
     while True:
+        done = state.t >= config.t_end - _TIME_EPS
+        dt = 0.0 if done else _controller_dt(
+            cap, state.t, config.t_end, config.snapshot_every)
+        # the linearised pressure enters as extra bulk viscosity; the solve
+        # reads only p and lam
+        lin = replace(vals, lam=vals.lam + dt * state.rho.data * vals.dp)
         try:
-            u, mrep = solve_momentum(state.rho, f, params, u0=u_prev, laws=vals)
+            u, mrep = solve_momentum(state.rho, f, params, u0=state.u, laws=lin)
         except SolverDiverged as exc:
             exc.records = records
             raise
         state.u = u
-        u_prev = u
 
         rec, _ = build_record(
             state, f, params, step=state.step_count, dt=0.0,
-            momentum_iters=mrep.iterations, laws=vals,
+            momentum_iters=mrep.iterations, laws=vals, solve_dt=dt,
         )
 
         if snap_dir is not None and state.t >= next_snap - _TIME_EPS:
             _write_state_snapshots(snap_dir, state, grid)
             next_snap += config.snapshot_every
 
-        if state.t >= config.t_end - _TIME_EPS:
+        if done:
             records.append(rec)
             break
 
-        dt = _controller_dt(u, state.rho, vals, grid, config.cfl, params,
-                            state.t, config.t_end, config.snapshot_every)
-
+        cap = stable_dt(u, grid, config.cfl)
+        dt = min(dt, cap)
         new_rho = None
         for attempt in range(_MAX_HALVINGS + 1):
             try:
                 new_rho = advect_density(state.rho, u, dt, params)
+                _check_gap(state.rho, new_rho, params)
                 break
             except CongestionOverflow as exc:
                 if attempt == _MAX_HALVINGS or 0.5 * dt < _DT_MIN:

@@ -332,7 +332,8 @@ def solve_momentum(rho, f, params, u0=None, laws=None):
     and it is returned unchanged, with 0 iterations, when it already meets
     the tolerance.  ``laws`` optionally passes
     ``evaluate_laws(rho.data, params)`` when the caller already holds it; the
-    solution is the same either way.
+    solution is the same either way.  Only its p and lam are read: the time
+    loop passes lam + dt*rho*dp, the bulk term of its linearised pressure.
     Returns (u, SolveReport); raises SolverDiverged when the tolerance is
     missed, with the report attached to the exception.
     """

@@ -106,6 +106,14 @@ def test_simulate_bad_cfl_is_config_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("line", ["t_end = inf", "snapshot_every = nan", "r = inf"])
+def test_simulate_non_finite_value_is_config_error(tmp_path, capsys, line):
+    cfg = write_cfg(tmp_path, GOOD_CFG + line + "\n")
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_simulate_solver_stall_exit_code(tmp_path, stall_momentum):
     stall_momentum(1)
     cfg = write_cfg(tmp_path, GOOD_CFG)

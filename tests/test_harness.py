@@ -87,6 +87,23 @@ def test_parse_config_rejects(mutation):
         parse_config(BASE_TEXT + mutation + "\n")
 
 
+@pytest.mark.parametrize("line", [
+    "t_end = inf",
+    "snapshot_every = nan",
+    "length = inf",
+    "epsilon = inf",
+    "mu = inf",
+    "r = inf",
+    "gamma = nan",
+    "cfl = -inf",
+    "scenario.rho0 = nan",
+])
+def test_parse_config_rejects_non_finite(line):
+    # t_end = inf used to be accepted, and the run never returned
+    with pytest.raises(ConfigError, match="must be finite"):
+        parse_config(BASE_TEXT + line + "\n")
+
+
 def test_parse_config_missing_required():
     with pytest.raises(ConfigError, match="missing required"):
         parse_config("dim = 1\nn = 16\n")
@@ -205,8 +222,8 @@ def test_snapshots_written(tmp_path):
               scenario_params={"rho0": 0.6, "f0": 40.0, "rot": 20.0}),
 ], ids=["1d_compression", "2d_rotation_squeeze"])
 def test_laws_evaluated_once_per_step(cfg, monkeypatch):
-    # the momentum solve, the record, the dt controller and the big_lam
-    # source share one evaluation of the laws per step
+    # the momentum solve (through its linearised pressure), the record and
+    # the big_lam source share one evaluation of the laws per step
     calls = {"evaluate_laws": 0, "pressure_derivative": 0}
 
     def counting(name, fn):
@@ -295,6 +312,108 @@ def test_solver_stall_attaches_records(stall_momentum):
     records = exc_info.value.records
     assert [r.step for r in records] == [0, 1]
     assert all(r.dt > 0.0 for r in records)
+
+
+# -- linearly implicit pressure ----------------------------------------------------
+
+def _stiff_compression(epsilon):
+    return RunConfig(dim=1, n=64, t_end=0.5, epsilon=epsilon, gamma=3.0, beta=2.0,
+                     scenario="compression", scenario_params={"rho0": 0.6, "f0": 200.0})
+
+
+def _counting_momentum(monkeypatch):
+    """Wrap the time loop's momentum solve; returns the list of max |u|, one
+    entry per call."""
+    solve = brinkflow.harness.solve_momentum
+    speeds = []
+
+    def counting(*args, **kwargs):
+        u, rep = solve(*args, **kwargs)
+        speeds.append(u.max_abs())
+        return u, rep
+
+    monkeypatch.setattr(brinkflow.harness, "solve_momentum", counting)
+    return speeds
+
+
+def test_step_count_flat_as_epsilon_falls():
+    # an explicit pressure needs dt <= (2*mu+lam)/(rho*p'), so its step
+    # count grows about 3x per decade of eps (111 steps at eps = 1e-1,
+    # 3,839 at eps = 1e-4); the linearly implicit pressure is held only by
+    # the CFL cap
+    steps = {eps: run_simulation(_stiff_compression(eps))[0].step_count
+             for eps in (1e-1, 1e-4)}
+    assert steps[1e-4] <= 2 * steps[1e-1]
+
+
+def test_stiff_run_keeps_flux_identity():
+    cfg = _stiff_compression(1e-4)
+    _, records = run_simulation(cfg)
+    params = cfg.law_params()
+    for rec in records:
+        bound = 1e-8 * (1.0 + brinkflow.laws.evaluate_laws(rec.max_rho, params).p)
+        assert rec.flux_residual <= bound, rec.step
+        assert rec.mean_relation_residual <= bound, rec.step
+
+
+@pytest.mark.parametrize("cfg", [
+    _stiff_compression(1e-3),
+    RunConfig(dim=2, n=16, t_end=0.05, epsilon=1e-2, gamma=2.0, beta=3.0,
+              scenario="rotation_squeeze",
+              scenario_params={"rho0": 0.6, "f0": 40.0, "rot": 20.0}),
+], ids=["1d_compression", "2d_rotation_squeeze"])
+def test_one_momentum_solve_per_record_and_cfl_of_own_velocity(cfg, monkeypatch):
+    # dt is picked before the solve and only lowered after it: one solve per
+    # record (the benchmark's traced iteration totals rely on it), and each
+    # step obeys the CFL cap of the velocity it advects with
+    speeds = _counting_momentum(monkeypatch)
+    _, records = run_simulation(cfg)
+    assert len(speeds) == len(records)
+    dx = cfg.make_grid().dx
+    for rec, speed in zip(records, speeds):
+        assert rec.dt <= cfg.cfl * dx / max(speed, 1.0) * (1.0 + 1e-12), rec.step
+    assert records[-1].dt == 0.0
+
+
+def _gap_closing_transport(monkeypatch, times):
+    """Make the time loop's density update close 60% of the gap to packing in
+    cell 0 on its first ``times`` calls (below rho = 1, so only the gap rule
+    rejects it)."""
+    advect = brinkflow.harness.advect_density
+    calls = 0
+
+    def closing(rho, u, dt, params):
+        nonlocal calls
+        calls += 1
+        new = advect(rho, u, dt, params)
+        if calls <= times:
+            new.data[0] = rho.data[0] + 0.6 * (1.0 - rho.data[0])
+        return new
+
+    monkeypatch.setattr(brinkflow.harness, "advect_density", closing)
+
+
+def test_gap_rejection_halves_dt(monkeypatch):
+    cfg = parse_config(BASE_TEXT)
+    _gap_closing_transport(monkeypatch, times=1)
+    state, records = run_simulation(cfg)
+    full = cfg.cfl * cfg.make_grid().dx
+    assert records[0].dt == pytest.approx(0.5 * full, rel=1e-12)
+    assert records[1].dt == pytest.approx(full, rel=1e-12)
+    # the rejected update was not committed
+    assert float(np.max(state.rho.data)) == 0.3
+
+
+def test_gap_rejection_budget_exhausted_attaches_records(monkeypatch):
+    cfg = parse_config(BASE_TEXT)
+    _gap_closing_transport(monkeypatch, times=10**6)
+    with pytest.raises(CongestionOverflow) as exc_info:
+        run_simulation(cfg)
+    exc = exc_info.value
+    assert exc.new_max_rho < 1.0
+    assert [r.step for r in exc.records] == [0]
+    full = cfg.cfl * cfg.make_grid().dx
+    assert exc.records[0].dt == pytest.approx(full / 2**20, rel=1e-12)
 
 
 def synth_table(values, metric_fn, axis="epsilon", params=None):
