@@ -106,7 +106,7 @@ def _cmd_sweep(args):
     except SweepDegenerate as exc:
         table = getattr(exc, "table", None)
         if table is not None:
-            write_report(report_path, table, config.law_params(), error=exc)
+            write_report(report_path, table, error=exc)
         _eprint(f"sweep degenerate: {exc}")
         return 1
 
@@ -119,8 +119,7 @@ def _cmd_sweep(args):
         except (Unclassifiable, SweepDegenerate) as exc:
             error = exc
             _eprint(f"classification failed: {exc}")
-    write_report(report_path, table, config.law_params(),
-                 classification=classification, error=error)
+    write_report(report_path, table, classification=classification, error=error)
     print(f"wrote {os.path.join(args.out, 'sweep.csv')} and {report_path}")
     if args.expect_theory and args.axis == "epsilon":
         if classification is None or not classification.agrees:

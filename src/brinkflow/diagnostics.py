@@ -34,7 +34,7 @@ columns from it and ``congestion_report`` is a thin public wrapper around it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -268,7 +268,6 @@ class EnergyLedger:
     bound_rhs: np.ndarray
     bound_holds: bool
     poincare_c: float
-    flagged_steps: list = field(default_factory=list)
 
     @property
     def final_drift(self):
@@ -311,12 +310,8 @@ def energy_report(records, params, grid):
     bound_rhs = energy[0] + (1.0 + C) / (2.0 * params.mu) * cum(f_l2)
     ok = bool(np.all(bound_lhs <= bound_rhs + 1e-9 * (1.0 + np.abs(bound_rhs))))
 
-    # heuristic per-step sanity flag; informational only
-    tol = 0.2 * dt * (np.abs(diss) + np.abs(forc)) + 1e-10
-    flagged = [int(i) for i in np.nonzero(np.abs(step_drift) > tol)[0]]
-
     return EnergyLedger(
         t=t, energy=energy, drift=drift, step_drift=step_drift,
         bound_lhs=bound_lhs, bound_rhs=bound_rhs, bound_holds=ok,
-        poincare_c=C, flagged_steps=flagged,
+        poincare_c=C,
     )

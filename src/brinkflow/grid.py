@@ -106,9 +106,6 @@ class ScalarField:
         """Sample ``fn`` at cell centers; fn takes one coordinate array per axis."""
         return cls(grid, np.asarray(fn(*cell_coords(grid)), dtype=float))
 
-    def copy(self):
-        return ScalarField(self.grid, self.data.copy())
-
 
 class FaceVectorField:
     """Velocity-like field: one component array per axis, face-centered."""
@@ -137,9 +134,6 @@ class FaceVectorField:
         for a, fn in enumerate(fns):
             comps.append(np.asarray(fn(*face_coords(grid, a)), dtype=float))
         return cls(grid, tuple(comps))
-
-    def copy(self):
-        return FaceVectorField(self.grid, tuple(c.copy() for c in self.components))
 
     def max_abs(self):
         return max(float(np.max(np.abs(c))) for c in self.components)

@@ -42,7 +42,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -122,7 +122,7 @@ class RunConfig:
     scenario_params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for key in sorted(_FLOAT_KEYS):
+        for key in sorted(k for k, parse in _KEYS.items() if parse is float):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         for key, val in sorted(self.scenario_params.items()):
@@ -145,11 +145,13 @@ class RunConfig:
         return make_grid(self.dim, self.n, self.length)
 
 
-_INT_KEYS = {"dim", "n"}
-_FLOAT_KEYS = {
-    "length", "t_end", "cfl", "epsilon", "delta", "gamma", "beta",
-    "mu", "r", "snapshot_every",
-}
+# config-file key -> value parser, from the RunConfig annotations ("int",
+# "float", "str" under postponed evaluation); scenario.<name> keys are
+# parsed separately
+_PARSERS = {"int": int, "float": float, "str": str}
+_KEYS = {f.name: _PARSERS[f.type] for f in fields(RunConfig) if f.name != "scenario_params"}
+_REQUIRED = [f.name for f in fields(RunConfig)
+             if f.default is MISSING and f.default_factory is MISSING]
 
 
 def parse_config(text):
@@ -167,18 +169,13 @@ def parse_config(text):
         try:
             if key.startswith("scenario."):
                 scen[key[len("scenario."):]] = float(val)
-            elif key == "scenario":
-                data["scenario"] = val
-            elif key in _INT_KEYS:
-                data[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                data[key] = float(val)
+            elif key in _KEYS:
+                data[key] = _KEYS[key](val)
             else:
                 raise ConfigError(f"line {lineno}: unknown config key '{key}'")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for '{key}': {val!r}") from exc
-    missing = [k for k in ("dim", "n", "t_end", "epsilon", "gamma", "beta", "scenario")
-               if k not in data]
+    missing = [k for k in _REQUIRED if k not in data]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
     return RunConfig(scenario_params=scen, **data)
@@ -196,66 +193,44 @@ def _wrap_centered(x, center, length):
     return (x - center + 0.5 * length) % length - 0.5 * length
 
 
+def _x_force(grid, fn):
+    """Force fn(x) on the axis-0 faces, zero along the other axes."""
+    fx = fn(face_coords(grid, 0)[0])
+    return FaceVectorField(grid, (fx,) + (np.zeros(grid.shape),) * (grid.dim - 1))
+
+
 def _scenario_equilibrium(grid, sp):
-    rho0 = sp.get("rho0", 0.3)
-    return ScalarField.full(grid, rho0), FaceVectorField.zeros(grid)
+    return ScalarField.full(grid, sp["rho0"]), FaceVectorField.zeros(grid)
 
 
 def _scenario_compression(grid, sp):
-    rho0 = sp.get("rho0", 0.6)
-    f0 = sp.get("f0", 5.0)
     k = 2.0 * np.pi / grid.length
-    if grid.dim == 1:
-        f = FaceVectorField.from_function(grid, lambda x: f0 * np.sin(k * x))
-    else:
-        f = FaceVectorField.from_function(
-            grid,
-            lambda x, y: f0 * np.sin(k * x),
-            lambda x, y: np.zeros_like(x),
-        )
-    return ScalarField.full(grid, rho0), f
+    return (ScalarField.full(grid, sp["rho0"]),
+            _x_force(grid, lambda x: sp["f0"] * np.sin(k * x)))
 
 
 def _scenario_two_bump_merge(grid, sp):
-    base = sp.get("base", 0.3)
-    amp = sp.get("amp", 0.35)
-    width = sp.get("width", 0.08)
-    f0 = sp.get("f0", 5.0)
     L = grid.length
     k = 2.0 * np.pi / L
-
-    def bumps(x):
-        d1 = _wrap_centered(x, 0.3 * L, L)
-        d2 = _wrap_centered(x, 0.7 * L, L)
-        return base + amp * (np.exp(-((d1 / (width * L)) ** 2))
-                             + np.exp(-((d2 / (width * L)) ** 2)))
-
-    if grid.dim == 1:
-        rho0 = ScalarField.from_function(grid, bumps)
-        f = FaceVectorField.from_function(grid, lambda x: f0 * np.sin(k * x))
-    else:
-        rho0 = ScalarField.from_function(grid, lambda x, y: bumps(x))
-        f = FaceVectorField.from_function(
-            grid,
-            lambda x, y: f0 * np.sin(k * x),
-            lambda x, y: np.zeros_like(x),
-        )
-    return rho0, f
+    w = sp["width"] * L
+    x = cell_coords(grid)[0]
+    d1 = _wrap_centered(x, 0.3 * L, L)
+    d2 = _wrap_centered(x, 0.7 * L, L)
+    rho = sp["base"] + sp["amp"] * (np.exp(-((d1 / w) ** 2)) + np.exp(-((d2 / w) ** 2)))
+    return ScalarField(grid, rho), _x_force(grid, lambda x: sp["f0"] * np.sin(k * x))
 
 
 def _scenario_rotation_squeeze(grid, sp):
     if grid.dim != 2:
         raise ConfigError("rotation_squeeze requires dim = 2")
-    rho0 = sp.get("rho0", 0.5)
-    f0 = sp.get("f0", 5.0)
-    rot = sp.get("rot", 2.0)
+    f0, rot = sp["f0"], sp["rot"]
     k = 2.0 * np.pi / grid.length
     f = FaceVectorField.from_function(
         grid,
         lambda x, y: f0 * np.sin(k * x) - rot * np.sin(k * y),
         lambda x, y: f0 * np.sin(k * y) + rot * np.sin(k * x),
     )
-    return ScalarField.full(grid, rho0), f
+    return ScalarField.full(grid, sp["rho0"]), f
 
 
 def _scenario_spike(grid, sp):
@@ -267,24 +242,26 @@ def _scenario_spike(grid, sp):
     """
     if grid.dim != 1:
         raise ConfigError("spike requires dim = 1")
-    rho0 = sp.get("rho0", 0.6)
-    amp = sp.get("amp", 1400.0)
-    w = sp.get("width", 0.012)
+    amp, w = sp["amp"], sp["width"]
     L = grid.length
 
     def force(x):
         s = _wrap_centered(x, 0.5 * L, L)
         return -2.0 * amp * w**2 * s / (s**2 + w**2) ** 2
 
-    return ScalarField.full(grid, rho0), FaceVectorField.from_function(grid, force)
+    return ScalarField.full(grid, sp["rho0"]), _x_force(grid, force)
 
 
+# scenario id -> (builder, parameter defaults); the defaults also name the
+# parameters a config may set
 _SCENARIOS = {
-    "equilibrium": (_scenario_equilibrium, {"rho0"}),
-    "compression": (_scenario_compression, {"rho0", "f0"}),
-    "two_bump_merge": (_scenario_two_bump_merge, {"base", "amp", "width", "f0"}),
-    "rotation_squeeze": (_scenario_rotation_squeeze, {"rho0", "f0", "rot"}),
-    "spike": (_scenario_spike, {"rho0", "amp", "width"}),
+    "equilibrium": (_scenario_equilibrium, {"rho0": 0.3}),
+    "compression": (_scenario_compression, {"rho0": 0.6, "f0": 5.0}),
+    "two_bump_merge": (_scenario_two_bump_merge,
+                       {"base": 0.3, "amp": 0.35, "width": 0.08, "f0": 5.0}),
+    "rotation_squeeze": (_scenario_rotation_squeeze,
+                         {"rho0": 0.5, "f0": 5.0, "rot": 2.0}),
+    "spike": (_scenario_spike, {"rho0": 0.6, "amp": 1400.0, "width": 0.012}),
 }
 
 
@@ -295,14 +272,14 @@ def build_scenario(config, grid):
             f"unknown scenario '{config.scenario}' "
             f"(available: {', '.join(sorted(_SCENARIOS))})"
         )
-    builder, allowed = _SCENARIOS[config.scenario]
-    unknown = set(config.scenario_params) - allowed
+    builder, defaults = _SCENARIOS[config.scenario]
+    unknown = set(config.scenario_params) - set(defaults)
     if unknown:
         raise ConfigError(
             f"unknown scenario parameters for '{config.scenario}': "
             f"{', '.join(sorted(unknown))}"
         )
-    rho0, f = builder(grid, config.scenario_params)
+    rho0, f = builder(grid, {**defaults, **config.scenario_params})
     if float(np.min(rho0.data)) < 0.0:
         raise ConfigError("initial density has negative cells")
     if float(np.max(rho0.data)) >= 1.0:
@@ -311,15 +288,6 @@ def build_scenario(config, grid):
 
 
 # -- time loop ----------------------------------------------------------------
-
-def _controller_dt(cap, t, t_end, snapshot_every):
-    """dt of the momentum solve: the previous velocity's CFL cap ``cap``, at
-    most snapshot_every and the time left."""
-    dt = cap
-    if snapshot_every > 0.0:
-        dt = min(dt, snapshot_every)
-    return min(dt, t_end - t)
-
 
 def _check_gap(rho, new_rho, params):
     """With delta = 0, reject (CongestionOverflow) an update that closes more
@@ -370,10 +338,10 @@ def run_simulation(config, outdir=None):
 
     records = []
     cap = stable_dt(state.u, grid, config.cfl)
+    snap_cap = config.snapshot_every if config.snapshot_every > 0.0 else math.inf
     while True:
         done = state.t >= config.t_end - _TIME_EPS
-        dt = 0.0 if done else _controller_dt(
-            cap, state.t, config.t_end, config.snapshot_every)
+        dt = 0.0 if done else min(cap, snap_cap, config.t_end - state.t)
         # the linearised pressure enters as extra bulk viscosity; the solve
         # reads only p and lam
         lin = replace(vals, lam=vals.lam + dt * state.rho.data * vals.dp)
@@ -561,13 +529,7 @@ def sweep(config, axis, values, outdir=None):
                 write_diagnostics_csv(os.path.join(rundir, "diagnostics.csv"), partial)
             rows.append(SweepRow(v, f"failed:{type(exc).__name__}", {}))
 
-    params = {
-        "dim": config.dim, "n": config.n, "length": config.length,
-        "t_end": config.t_end, "cfl": config.cfl,
-        "epsilon": config.epsilon, "delta": config.delta,
-        "gamma": config.gamma, "beta": config.beta,
-        "mu": config.mu, "r": config.r, "scenario": config.scenario,
-    }
+    params = {key: getattr(config, key) for key in _KEYS if key != "snapshot_every"}
     table = SweepTable(axis=axis, rows=rows, params=params)
     if outdir is not None:
         table.save(os.path.join(outdir, "sweep.csv"))
@@ -722,7 +684,7 @@ def classify_limit(table, params):
     return ClassificationResult(observed, expected, observed is expected, evidence)
 
 
-def write_report(path, table, params, classification=None, error=None):
+def write_report(path, table, classification=None, error=None):
     """Human-readable sweep summary: slopes per metric plus the verdict."""
     lines = [f"axis: {table.axis}"]
     lines.append(

@@ -36,6 +36,9 @@ the zero-mean part of the effective viscous flux F = (2*mu+lam) div u - p
 directly from force and drag: -Delta_h S = div(f - r*u), so F = mean(F) + S
 holds exactly at the discrete level.
 
+Inside the solves a face vector is one array, its components stacked on
+axis 0 (``np.stack(u.components)``; ``x[a]`` is component ``a``).
+
 Every solve targets the fixed relative residual _TOL = 1e-10 and returns a
 ``SolveReport``.  A direct solve measures its residual with one application
 of the operator and reports 1 iteration; the 2D momentum solve reports the
@@ -154,37 +157,20 @@ def _check_converged(report, what):
 
 # -- momentum operator -------------------------------------------------------
 
-def _apply_momentum_flat(flat, coef, mu, r, grid):
-    comps = _unflatten(flat, grid)
-    div = div_array(comps, grid.dx)
-    out = grad_array(coef * div, grid.dx, grid.dim)
-    out = [-g for g in out]
-    if grid.dim == 2:
-        w = curl_array(comps, grid.dx)
-        ct = curl_t_array(w, grid.dx)
-        out[0] += mu * ct[0]
-        out[1] += mu * ct[1]
-    for a in range(grid.dim):
-        out[a] += r * comps[a]
-    return _flatten(out)
-
-
-def _flatten(comps):
-    return np.concatenate([c.ravel() for c in comps])
-
-
-def _unflatten(flat, grid):
-    size = grid.n**grid.dim
-    return tuple(
-        flat[a * size:(a + 1) * size].reshape(grid.shape) for a in range(grid.dim)
-    )
+def _apply_momentum(x, coef, mu, r, dx):
+    """Apply A to a stacked face vector x; coef is the cell array 2*mu + lam."""
+    out = -np.stack(grad_array(coef * div_array(x, dx), dx, len(x)))
+    if len(x) == 2:
+        out += mu * np.stack(curl_t_array(curl_array(x, dx), dx))
+    out += r * x
+    return out
 
 
 def apply_momentum_operator(u, coef, mu, r):
     """Apply A to a face vector field; coef is the cell array 2*mu + lam."""
     grid = u.grid
-    flat = _apply_momentum_flat(_flatten(u.components), coef, mu, r, grid)
-    return FaceVectorField(grid, _unflatten(flat, grid))
+    return FaceVectorField(
+        grid, tuple(_apply_momentum(np.stack(u.components), coef, mu, r, grid.dx)))
 
 
 @dataclass(frozen=True)
@@ -255,15 +241,14 @@ def _flux_reduced_solver(coef, mu, r, grid, inner_reports):
         return np.fft.irfftn(vh, s=grid.shape, axes=axes).ravel()
 
     def solve(b):
-        comps = _unflatten(b, grid)
-        g = div_array(comps, grid.dx).ravel()
+        g = div_array(b, grid.dx).ravel()
         fv, rep = _cg(flux_op, g, 1e-3 * _TOL, 50 * grid.n * grid.dim, precond)
         inner_reports.append(rep)
         _check_converged(rep, "momentum flux CG")
-        bh = [np.fft.rfftn(c, axes=axes) for c in comps]
+        bh = [np.fft.rfftn(c, axes=axes) for c in b]
         pb = proj_gain * (sym.unit[0].conj() * bh[0] + sym.unit[1].conj() * bh[1])
         grad_fv = grad_array(fv.reshape(grid.shape), grid.dx, grid.dim)
-        return _flatten([
+        return np.stack([
             np.fft.irfftn(inv_h * bh[j] + sym.unit[j] * pb, s=grid.shape, axes=axes)
             + grad_fv[j] / r
             for j in range(2)
@@ -318,8 +303,8 @@ def _cyclic_tridiagonal_solver(coef, r, dx):
     z_scale = 1.0 + z[0] + w_last * z[n - 1]
 
     def solve(b):
-        y = solve_t(b)
-        return y - ((y[0] + w_last * y[n - 1]) / z_scale) * z
+        y = solve_t(b[0])
+        return np.stack([y - ((y[0] + w_last * y[n - 1]) / z_scale) * z])
 
     return solve
 
@@ -341,11 +326,11 @@ def solve_momentum(rho, f, params, u0=None, laws=None):
     vals = laws if laws is not None else evaluate_laws(rho.data, params)
     coef = 2.0 * params.mu + vals.lam
     gp = grad_array(vals.p, grid.dx, grid.dim)
-    b = _flatten([f.components[a] - gp[a] for a in range(grid.dim)])
-    x0 = _flatten(u0.components) if u0 is not None else None
+    b = np.stack(f.components) - np.stack(gp)
+    x0 = np.stack(u0.components) if u0 is not None else None
 
     def apply_op(v):
-        return _apply_momentum_flat(v, coef, params.mu, params.r, grid)
+        return _apply_momentum(v, coef, params.mu, params.r, grid.dx)
 
     inner = []
     if grid.dim == 1:
@@ -356,7 +341,7 @@ def solve_momentum(rho, f, params, u0=None, laws=None):
     if grid.dim == 2:
         report = replace(report, iterations=sum(rep.iterations for rep in inner))
     _check_converged(report, "momentum solve")
-    return FaceVectorField(grid, _unflatten(x, grid)), report
+    return FaceVectorField(grid, tuple(x)), report
 
 
 # -- Poisson on the mean-zero subspace ---------------------------------------

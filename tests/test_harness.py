@@ -1,6 +1,7 @@
 """Harness tests: config parsing, scenarios, the time loop, sweeps, rate
 fits, and regime classification on synthetic tables."""
 
+import dataclasses
 import importlib
 import importlib.util
 import pkgutil
@@ -109,6 +110,19 @@ def test_parse_config_missing_required():
         parse_config("dim = 1\nn = 16\n")
 
 
+def test_config_text_from_fields_round_trips():
+    # a config file written field by field, as perfbench's sweep workload
+    # writes one, parses back to the same RunConfig
+    cfg = RunConfig(dim=2, n=24, t_end=0.25, epsilon=3e-3, gamma=2.5, beta=3.5,
+                    scenario="rotation_squeeze", length=2.0, cfl=0.3, delta=0.05,
+                    mu=0.7, r=1.5, snapshot_every=0.125,
+                    scenario_params={"rho0": 0.45, "f0": 12.0, "rot": 3.0})
+    lines = [f"{f.name} = {getattr(cfg, f.name)}"
+             for f in dataclasses.fields(cfg) if f.name != "scenario_params"]
+    lines += [f"scenario.{k} = {v}" for k, v in sorted(cfg.scenario_params.items())]
+    assert parse_config("\n".join(lines) + "\n") == cfg
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(BASE_TEXT)
@@ -151,6 +165,38 @@ def test_scenario_profiles():
     rho0, f = build_scenario(bumps, g)
     assert float(np.max(rho0.data)) < 1.0
     assert float(np.min(rho0.data)) > 0.0
+
+
+# the scenario defaults the README documents, written out independently of
+# the harness's table
+README_SCENARIO_DEFAULTS = {
+    "equilibrium": {"rho0": 0.3},
+    "compression": {"rho0": 0.6, "f0": 5.0},
+    "two_bump_merge": {"base": 0.3, "amp": 0.35, "width": 0.08, "f0": 5.0},
+    "rotation_squeeze": {"rho0": 0.5, "f0": 5.0, "rot": 2.0},
+    "spike": {"rho0": 0.6, "amp": 1400.0, "width": 0.012},
+}
+
+
+@pytest.mark.parametrize("scenario,dim", [
+    ("equilibrium", 1), ("equilibrium", 2),
+    ("compression", 1), ("compression", 2),
+    ("two_bump_merge", 1), ("two_bump_merge", 2),
+    ("rotation_squeeze", 2),
+    ("spike", 1),
+])
+def test_scenario_defaults_equal_readme_values(scenario, dim):
+    cfg = dataclasses.replace(parse_config(BASE_TEXT), dim=dim, scenario=scenario,
+                              scenario_params={})
+    g = cfg.make_grid()
+    rho0, f = build_scenario(cfg, g)
+    explicit = dataclasses.replace(
+        cfg, scenario_params=dict(README_SCENARIO_DEFAULTS[scenario]))
+    rho0_x, f_x = build_scenario(explicit, g)
+    np.testing.assert_array_equal(rho0.data, rho0_x.data)
+    assert len(f.components) == dim
+    for a in range(dim):
+        np.testing.assert_array_equal(f.components[a], f_x.components[a])
 
 
 def test_spike_force_antisymmetric():
@@ -585,6 +631,22 @@ def test_sweep_runs_and_aggregates(tmp_path):
     assert res.observed is RegimeTag.MEMORY_AND_PRESSURE
 
 
+def test_sweep_header_holds_config_keys(tmp_path):
+    cfg = parse_config(BASE_TEXT)
+    sweep(cfg, "epsilon", [1e-2, 1e-3, 1e-4], outdir=str(tmp_path))
+    header = {}
+    for line in (tmp_path / "sweep.csv").read_text().splitlines():
+        if line.startswith("# "):
+            key, _, val = line[2:].partition("=")
+            header[key] = val
+    assert header.pop("axis") == "epsilon"
+    expected = {f.name for f in dataclasses.fields(RunConfig)} - {
+        "snapshot_every", "scenario_params"}
+    assert set(header) == expected
+    assert header["scenario"] == "equilibrium" and header["n"] == "16"
+    assert float(header["epsilon"]) == cfg.epsilon
+
+
 def test_sweep_validation_and_degenerate(tmp_path):
     cfg = parse_config(BASE_TEXT)
     with pytest.raises(ConfigError):
@@ -628,9 +690,9 @@ def test_write_report(tmp_path):
                                          "mp_residual": 1e-3})
     res = classify_limit(table, _params(3.0, 2.0))
     path = tmp_path / "report.txt"
-    write_report(path, table, _params(3.0, 2.0), classification=res)
+    write_report(path, table, classification=res)
     text = path.read_text()
     assert "slope[L1_big_lam] = 0.7000" in text
     assert "observed=PressureNoMemory" in text
-    write_report(path, table, _params(3.0, 2.0), error="no rule fired")
+    write_report(path, table, error="no rule fired")
     assert "classification failed: no rule fired" in path.read_text()
