@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 degenerate result (failed fit/sweep/verdict),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -31,6 +32,7 @@ from .errors import (
     Unclassifiable,
 )
 from .harness import (
+    RunConfig,
     SweepTable,
     classify_limit,
     fit_rate,
@@ -235,20 +237,19 @@ def _cmd_fit(args):
 
 
 def _params_from_table(table):
+    """LawParams from a sweep table's header; an optional key it lacks takes
+    its ``RunConfig`` default."""
     needed = ("epsilon", "gamma", "beta")
     missing = [k for k in needed if k not in table.params]
     if missing:
         raise ConfigError(
             f"sweep table lacks parameter header(s): {', '.join(missing)}"
         )
-    return LawParams(
-        epsilon=float(table.params["epsilon"]),
-        delta=float(table.params.get("delta", 0.0)),
-        gamma=float(table.params["gamma"]),
-        beta=float(table.params["beta"]),
-        mu=float(table.params.get("mu", 0.5)),
-        r=float(table.params.get("r", 1.0)),
-    )
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    return LawParams(**{
+        f.name: float(table.params.get(f.name, defaults[f.name]))
+        for f in dataclasses.fields(LawParams)
+    })
 
 
 def _cmd_classify(args):

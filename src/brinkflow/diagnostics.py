@@ -101,24 +101,23 @@ class DiagnosticsRecord:
         return [getattr(self, name) for name in CSV_COLUMNS]
 
 
-def _flux_pieces(rho, u, f, vals, params, solve_dt=0.0):
-    """Shared computation from the law values: div u, coef, F, S, residuals.
+def _flux_pieces(rho, u, f, vals, params, divu, solve_dt=0.0):
+    """Shared computation from the law values and div u: coef, F, S, residuals.
 
     coef = 2*mu + lam is the physical bulk coefficient; F and the residuals
     use the coefficient of the momentum solve, coef + solve_dt*rho*dp.
     """
-    divu = div_array(u.components, rho.grid.dx)
     coef = 2.0 * params.mu + vals.lam
     bulk = vals.lam + solve_dt * rho.data * vals.dp
     total = 2.0 * params.mu + bulk
     F = total * divu - vals.p
     S, rep = compute_S(u, f, params)
-    flux_residual = float(np.max(np.abs(F - F.mean() - S.data)))
+    flux_residual = float(np.abs(F - F.mean() - S.data).max())
     mean_rel = float(abs(
-        np.mean(bulk * divu) - np.mean(vals.p)
-        + np.sum((vals.p + S.data) / total) / np.sum(1.0 / total)
+        (bulk * divu).mean() - vals.p.mean()
+        + ((vals.p + S.data) / total).sum() / (1.0 / total).sum()
     ))
-    return divu, coef, F, S, rep, flux_residual, mean_rel
+    return coef, F, S, rep, flux_residual, mean_rel
 
 
 def effective_flux_report(rho, u, f, params):
@@ -129,7 +128,8 @@ def effective_flux_report(rho, u, f, params):
     absolute defect of mean(lam*div u) = mean(p) - sum((p+S)*nu)/sum(nu).
     """
     vals = evaluate_laws(rho.data, params)
-    _, _, F, S, _, flux_res, mean_rel = _flux_pieces(rho, u, f, vals, params)
+    divu = div_array(u.components, rho.grid.dx)
+    _, F, S, _, flux_res, mean_rel = _flux_pieces(rho, u, f, vals, params, divu)
     return ScalarField(rho.grid, F), S, flux_res, mean_rel
 
 
@@ -147,15 +147,16 @@ def _congested_set(rho, divu, vals, params, theta):
     vol = rho.grid.cell_volume
     mask = rho.data >= theta
     if mask.any():
-        mp = float(np.max(np.abs(rho.data[mask] * vals.p[mask]
-                                 - (params.beta - 1.0) * vals.big_lam[mask])))
-        mdv = float(np.max(np.abs(divu[mask])))
+        mp = float(np.abs(rho.data[mask] * vals.p[mask]
+                          - (params.beta - 1.0) * vals.big_lam[mask]).max())
+        mdv = float(np.abs(divu[mask]).max())
     else:
         mp = 0.0
         mdv = 0.0
     measure = float(np.count_nonzero(mask)) * vol
-    excl_p = float(np.sum((1.0 - rho.data) * vals.p)) * vol
-    excl_bl = float(np.sum((1.0 - rho.data) * vals.big_lam)) * vol
+    gap = 1.0 - rho.data
+    excl_p = float((gap * vals.p).sum()) * vol
+    excl_bl = float((gap * vals.big_lam).sum()) * vol
     return CongestionReport(measure, mdv, mp, excl_p, excl_bl)
 
 
@@ -174,11 +175,12 @@ def congestion_report(rho, u, params, theta=CONGESTION_THETA):
 
 
 def build_record(state, f, params, step=0, dt=0.0, momentum_iters=0, laws=None,
-                 solve_dt=0.0):
+                 solve_dt=0.0, divu=None):
     """Assemble the full diagnostics record for the current state.
 
     ``laws`` optionally passes ``evaluate_laws(state.rho.data, params)``
-    when the caller already holds it; the record is the same either way.
+    and ``divu`` the cell array ``div_array(state.u.components, dx)``
+    when the caller already holds them; the record is the same either way.
     ``solve_dt`` is the dt at which the momentum solve linearised the
     pressure (0 for the exact semi-stationary solve): flux_residual and
     mean_relation_residual check the identity of that solve.
@@ -189,26 +191,28 @@ def build_record(state, f, params, step=0, dt=0.0, momentum_iters=0, laws=None,
     vol = grid.cell_volume
 
     vals = laws if laws is not None else evaluate_laws(rho.data, params)
-    divu, coef, F, S, poisson_rep, flux_res, mean_rel = _flux_pieces(
-        rho, u, f, vals, params, solve_dt
+    if divu is None:
+        divu = div_array(u.components, grid.dx)
+    coef, F, S, poisson_rep, flux_res, mean_rel = _flux_pieces(
+        rho, u, f, vals, params, divu, solve_dt
     )
 
     if grid.dim == 2:
         w = curl_array(u.components, grid.dx)
-        sum_curl2 = float(np.sum(w * w)) * vol
+        sum_curl2 = float((w * w).sum()) * vol
     else:
         sum_curl2 = 0.0
-    sum_divu2 = float(np.sum(divu * divu)) * vol
-    drag2 = sum(float(np.sum(c * c)) for c in u.components) * vol
+    sum_divu2 = float((divu * divu).sum()) * vol
+    drag2 = sum(float((c * c).sum()) for c in u.components) * vol
     dissipation = (
-        float(np.sum(coef * divu * divu)) * vol
+        float((coef * divu * divu).sum()) * vol
         + params.mu * sum_curl2
         + params.r * drag2
     )
     forcing = sum(
-        float(np.sum(fc * uc)) for fc, uc in zip(f.components, u.components)
+        float((fc * uc).sum()) for fc, uc in zip(f.components, u.components)
     ) * vol
-    f_l2sq = sum(float(np.sum(fc * fc)) for fc in f.components) * vol
+    f_l2sq = sum(float((fc * fc).sum()) for fc in f.components) * vol
 
     cong = _congested_set(rho, divu, vals, params, CONGESTION_THETA)
     _, meas_1md = mean_and_measure(rho, 1.0 - params.delta)
@@ -217,17 +221,17 @@ def build_record(state, f, params, step=0, dt=0.0, momentum_iters=0, laws=None,
         step=step,
         t=state.t,
         dt=dt,
-        mass=float(np.sum(rho.data)) * vol,
-        min_rho=float(np.min(rho.data)),
-        max_rho=float(np.max(rho.data)),
-        energy_H=float(np.sum(vals.h)) * vol,
+        mass=float(rho.data.sum()) * vol,
+        min_rho=float(rho.data.min()),
+        max_rho=float(rho.data.max()),
+        energy_H=float(vals.h.sum()) * vol,
         dissipation=dissipation,
         forcing_power=forcing,
         flux_residual=flux_res,
         mean_relation_residual=mean_rel,
-        L1_p=float(np.sum(np.abs(vals.p))) * vol,
-        L1_lambda=float(np.sum(np.abs(vals.lam))) * vol,
-        L1_big_lam=float(np.sum(np.abs(vals.big_lam))) * vol,
+        L1_p=float(np.abs(vals.p).sum()) * vol,
+        L1_lambda=float(np.abs(vals.lam).sum()) * vol,
+        L1_big_lam=float(np.abs(vals.big_lam).sum()) * vol,
         excl_p=cong.excl_p,
         excl_big_lam=cong.excl_big_lam,
         mp_residual=cong.mp_residual,
@@ -237,8 +241,8 @@ def build_record(state, f, params, step=0, dt=0.0, momentum_iters=0, laws=None,
         sum_divu2=sum_divu2,
         sum_curl2=sum_curl2,
         f_l2sq=f_l2sq,
-        big_lam_pde_l1=float(np.sum(np.abs(state.big_lam.data))) * vol,
-        big_lam_drift_l1=float(np.sum(np.abs(state.big_lam.data - vals.big_lam))) * vol,
+        big_lam_pde_l1=float(np.abs(state.big_lam.data).sum()) * vol,
+        big_lam_drift_l1=float(np.abs(state.big_lam.data - vals.big_lam).sum()) * vol,
         momentum_iters=momentum_iters,
         poisson_iters=poisson_rep.iterations,
     )

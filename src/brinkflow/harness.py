@@ -30,7 +30,8 @@ holds the exact semi-stationary solve.
 
 The law values of step 1 are the only evaluation in the step: the momentum
 solve, the diagnostics record and the big_lam source -lam * div u all reuse
-them.
+them.  Likewise div u^n is computed once, after step 3, and feeds both the
+record and the big_lam source.
 
 Sweeps rerun one configuration while varying epsilon or delta, aggregate
 final-time and max-over-time metrics per run, and feed log-log rate fits and
@@ -59,7 +60,7 @@ from .grid import (
     FaceVectorField,
     ScalarField,
     cell_coords,
-    divergence,
+    div_array,
     face_coords,
     make_grid,
     write_snapshot,
@@ -351,10 +352,11 @@ def run_simulation(config, outdir=None):
             exc.records = records
             raise
         state.u = u
+        divu = div_array(u.components, grid.dx)
 
         rec, _ = build_record(
             state, f, params, step=state.step_count, dt=0.0,
-            momentum_iters=mrep.iterations, laws=vals, solve_dt=dt,
+            momentum_iters=mrep.iterations, laws=vals, solve_dt=dt, divu=divu,
         )
 
         if snap_dir is not None and state.t >= next_snap - _TIME_EPS:
@@ -382,8 +384,7 @@ def run_simulation(config, outdir=None):
         rec.dt = dt
         records.append(rec)
 
-        divu = divergence(u)
-        new_big = advect_big_lambda(state.big_lam, u, divu, ScalarField(grid, vals.lam), dt)
+        new_big = advect_big_lambda(state.big_lam, u, divu, vals.lam, dt)
         state = SimState(
             t=state.t + dt, rho=new_rho, u=u, big_lam=new_big,
             step_count=state.step_count + 1,
@@ -424,11 +425,18 @@ class SweepRow:
 
 @dataclass
 class SweepTable:
-    """Aggregated per-run metrics for one parameter sweep."""
+    """Aggregated per-run metrics for one parameter sweep.
+
+    params holds the swept configuration's keys, scenario_params its
+    scenario parameters.  ``save`` writes them as ``# key=value`` header
+    lines and, after those, ``## scenario.<name>=<value>`` lines; ``load``
+    reads both back.
+    """
 
     axis: str
     rows: list
     params: dict
+    scenario_params: dict = field(default_factory=dict)
 
     def ok_rows(self):
         return [r for r in self.rows if r.ok]
@@ -449,6 +457,8 @@ class SweepTable:
             for key in sorted(self.params):
                 val = self.params[key]
                 fh.write(f"# {key}={val if isinstance(val, str) else _fmt(val)}\n")
+            for key in sorted(self.scenario_params):
+                fh.write(f"## scenario.{key}={_fmt(self.scenario_params[key])}\n")
             w = csv.writer(fh)
             w.writerow(["value", "status"] + cols)
             for row in self.rows:
@@ -460,11 +470,15 @@ class SweepTable:
     @classmethod
     def load(cls, path):
         meta = {}
+        scenario_params = {}
         with open(path) as fh:
             lines = fh.readlines()
         body = []
         for line in lines:
-            if line.startswith("#"):
+            if line.startswith("## scenario."):
+                key, _, val = line[len("## scenario."):].strip().partition("=")
+                scenario_params[key.strip()] = float(val)
+            elif line.startswith("#"):
                 key, _, val = line[1:].strip().partition("=")
                 meta[key.strip()] = val.strip()
             else:
@@ -485,7 +499,7 @@ class SweepTable:
             status = rec.pop("status")
             metrics = {k: float(v) for k, v in rec.items() if v != "nan"}
             rows.append(SweepRow(value, status, metrics))
-        return cls(axis=axis, rows=rows, params=params)
+        return cls(axis=axis, rows=rows, params=params, scenario_params=scenario_params)
 
 
 def _aggregate(records):
@@ -530,7 +544,8 @@ def sweep(config, axis, values, outdir=None):
             rows.append(SweepRow(v, f"failed:{type(exc).__name__}", {}))
 
     params = {key: getattr(config, key) for key in _KEYS if key != "snapshot_every"}
-    table = SweepTable(axis=axis, rows=rows, params=params)
+    table = SweepTable(axis=axis, rows=rows, params=params,
+                       scenario_params=dict(config.scenario_params))
     if outdir is not None:
         table.save(os.path.join(outdir, "sweep.csv"))
     if len(table.ok_rows()) < 3:

@@ -120,6 +120,18 @@ def _check_density(rho, params):
         )
 
 
+def _exact_laws(rho, eps, gamma, beta):
+    """(p, lam, big_lam, h, dp) of the exact singular laws, elementwise."""
+    q = rho / (1.0 - rho)
+    return (
+        eps * q**gamma,
+        eps * q**beta,
+        (eps / (beta - 1.0)) * rho * q ** (beta - 1.0),
+        (eps / (gamma - 1.0)) * rho * q ** (gamma - 1.0),
+        eps * gamma * q ** (gamma - 1.0) / (1.0 - rho) ** 2,
+    )
+
+
 def evaluate_laws(rho, params):
     """Evaluate p, lam, big_lam, h, nu and dp/drho at the given densities.
 
@@ -135,26 +147,19 @@ def evaluate_laws(rho, params):
     eps, delta = params.epsilon, params.delta
     gamma, beta = params.gamma, params.beta
 
-    p = np.empty_like(rho_a)
-    lam = np.empty_like(rho_a)
-    big = np.empty_like(rho_a)
-    h = np.empty_like(rho_a)
-    dp = np.empty_like(rho_a)
-
     if delta == 0.0:
-        exact = np.ones(rho_a.shape, dtype=bool)
+        p, lam, big, h, dp = _exact_laws(rho_a, eps, gamma, beta)
     else:
+        p = np.empty_like(rho_a)
+        lam = np.empty_like(rho_a)
+        big = np.empty_like(rho_a)
+        h = np.empty_like(rho_a)
+        dp = np.empty_like(rho_a)
+
         exact = rho_a <= 1.0 - delta
+        p[exact], lam[exact], big[exact], h[exact], dp[exact] = _exact_laws(
+            rho_a[exact], eps, gamma, beta)
 
-    re = rho_a[exact]
-    q = re / (1.0 - re)
-    p[exact] = eps * q**gamma
-    lam[exact] = eps * q**beta
-    big[exact] = (eps / (beta - 1.0)) * re * q ** (beta - 1.0)
-    h[exact] = (eps / (gamma - 1.0)) * re * q ** (gamma - 1.0)
-    dp[exact] = eps * gamma * q ** (gamma - 1.0) / (1.0 - re) ** 2
-
-    if delta > 0.0:
         trunc = ~exact
         rt = rho_a[trunc]
         edge = 1.0 - delta

@@ -34,16 +34,19 @@ the FFT, which diagonalizes the constant-coefficient periodic operator: mode
 k has eigenvalue sum_axes (4/dx^2) sin^2(pi k_a/n).  ``compute_S`` produces
 the zero-mean part of the effective viscous flux F = (2*mu+lam) div u - p
 directly from force and drag: -Delta_h S = div(f - r*u), so F = mean(F) + S
-holds exactly at the discrete level.
+holds exactly at the discrete level.  In 2D it is that FFT solve.  In 1D
+no solve is needed: grad S = r*u - f up to a constant, so S is the
+zero-mean prefix sum of dx*(r*u - f - mean(r*u - f)).
 
 Inside the solves a face vector is one array, its components stacked on
 axis 0 (``np.stack(u.components)``; ``x[a]`` is component ``a``).
 
 Every solve targets the fixed relative residual _TOL = 1e-10 and returns a
 ``SolveReport``.  A direct solve measures its residual with one application
-of the operator and reports 1 iteration; the 2D momentum solve reports the
-total of its inner CG iterations.  Both report 0 for a zero right-hand side
-or a warm start that already meets the tolerance.
+of the operator and reports 1 iteration, and so does the 1D prefix sum
+for S; the 2D momentum solve reports the total of its inner CG iterations.
+Both report 0 for a zero right-hand side or a warm start that already
+meets the tolerance.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from .grid import (
     curl_t_array,
     div_array,
     grad_array,
+    lower_neighbor,
 )
 from .laws import evaluate_laws
 
@@ -266,39 +270,48 @@ def _cyclic_tridiagonal_solver(coef, r, dx):
     Numerical Recipes 2.7, A = T + g w w^T with g = -A[0,0] and
     w = (1, 0, ..., 0, A[n-1,0]/g), so T is tridiagonal and SPD (g < 0), and
     A^{-1} b = y - (w.y)/(1 + w.z) z with T y = b, T z = g w.  T = L D L^T
-    is eliminated without pivoting; the sweeps run on Python floats, which is
+    is eliminated without pivoting, and the forward sweep of T z = g w runs
+    inside the factorization loop.  The sweeps run on Python floats, which is
     faster than numpy for this sequential recurrence.
     """
     n = coef.size
     dx2 = dx * dx
     off = (-coef / dx2).tolist()
-    diag = ((coef + np.roll(coef, 1)) / dx2 + r).tolist()
+    diag = ((coef + lower_neighbor(coef, 0)) / dx2 + r).tolist()
     corner = off[n - 1]
     g = -diag[0]
     diag[0] -= g
     diag[n - 1] -= corner * corner / g
 
-    # T = L D L^T: d holds D, lo the unit subdiagonal of L
+    # T = L D L^T: d holds D, lo the unit subdiagonal of L; zf becomes
+    # L^{-1} g w, with g w = (g, 0, ..., 0, corner)
     d = [0.0] * n
     lo = [0.0] * n
-    d[0] = diag[0]
+    zf = [0.0] * n
+    zf[n - 1] = corner
+    d_i = d[0] = diag[0]
+    z_i = zf[0] = g
     for i in range(1, n):
-        lo[i - 1] = off[i - 1] / d[i - 1]
-        d[i] = diag[i] - lo[i - 1] * off[i - 1]
+        o = off[i - 1]
+        l_i = lo[i - 1] = o / d_i
+        d_i = d[i] = diag[i] - l_i * o
+        z_i = zf[i] = zf[i] - l_i * z_i
+
+    def back_substitute(y):
+        """Overwrite the list y = L^{-1} rhs with T^{-1} rhs; returns an array."""
+        y_i = y[n - 1] = y[n - 1] / d[n - 1]
+        for i in range(n - 2, -1, -1):
+            y_i = y[i] = y[i] / d[i] - lo[i] * y_i
+        return np.array(y)
 
     def solve_t(rhs):
         y = rhs.tolist()
+        y_i = y[0]
         for i in range(1, n):
-            y[i] -= lo[i - 1] * y[i - 1]
-        y[n - 1] /= d[n - 1]
-        for i in range(n - 2, -1, -1):
-            y[i] = y[i] / d[i] - lo[i] * y[i + 1]
-        return np.array(y)
+            y_i = y[i] = y[i] - lo[i - 1] * y_i
+        return back_substitute(y)
 
-    gw = np.zeros(n)
-    gw[0] = g
-    gw[n - 1] = corner
-    z = solve_t(gw)
+    z = back_substitute(zf)
     w_last = corner / g
     z_scale = 1.0 + z[0] + w_last * z[n - 1]
 
@@ -350,6 +363,19 @@ def _apply_neg_laplacian(s, grid):
     return -div_array(grad_array(s, grid.dx, grid.dim), grid.dx)
 
 
+def _compatible_rhs(g):
+    """g minus its mean; raises CompatibilityError unless the mean is
+    negligible, |mean(g)| <= 1e-10 * max|g| (solvability of -Delta_h s = g)."""
+    data = g.data
+    g_max = float(np.abs(data).max())
+    g_mean = float(data.mean())
+    if g_max > 0.0 and abs(g_mean) > 1e-10 * g_max:
+        raise CompatibilityError(
+            f"poisson right-hand side has mean {g_mean:.3e} (max |g| = {g_max:.3e})"
+        )
+    return data - g_mean
+
+
 def solve_poisson_zero_mean(g):
     """Solve -Delta_h s = g with mean(s) = 0 on the periodic grid, by FFT.
 
@@ -359,14 +385,7 @@ def solve_poisson_zero_mean(g):
     one refinement step.
     """
     grid = g.grid
-    data = g.data
-    g_max = float(np.max(np.abs(data)))
-    g_mean = float(np.mean(data))
-    if g_max > 0.0 and abs(g_mean) > 1e-10 * g_max:
-        raise CompatibilityError(
-            f"poisson right-hand side has mean {g_mean:.3e} (max |g| = {g_max:.3e})"
-        )
-
+    b = _compatible_rhs(g)
     axes = tuple(range(grid.dim))
     zero_mode = (0,) * grid.dim
     symbol = _fourier_symbols(grid.dim, grid.n, grid.dx).lap
@@ -376,7 +395,6 @@ def solve_poisson_zero_mean(g):
         vh[zero_mode] = 0.0
         return np.fft.irfftn(vh, s=grid.shape, axes=axes)
 
-    b = data - g_mean
     x, report = _direct(lambda v: _apply_neg_laplacian(v, grid), solve, b, None, _TOL)
     _check_converged(report, "poisson FFT solve")
     return ScalarField(grid, x - x.mean()), report
@@ -387,9 +405,30 @@ def compute_S(u, f, params):
 
     S solves -Delta_h S = div(f - r*u) with mean(S) = 0, so that
     F = (2*mu + lam) div u - p satisfies F = mean(F) + S exactly (up to the
-    solver tolerance).  Returns (S, SolveReport).
+    solver tolerance).  In 2D this is ``solve_poisson_zero_mean``.  In 1D,
+    -Delta_h = -div grad and div has the constants as its kernel, so
+    grad S = q with q = r*u - f - mean(r*u - f), and S is the prefix sum
+    cumsum(dx*q) minus its mean.  The compatibility check and the one-apply
+    residual check against _TOL are those of the FFT solve; the prefix sum
+    reports 1 iteration (0 for a zero right-hand side) and raises
+    SolverDiverged if its residual misses _TOL.  Returns (S, SolveReport).
     """
     grid = u.grid
+    dx = grid.dx
     comps = [f.components[a] - params.r * u.components[a] for a in range(grid.dim)]
-    rhs = ScalarField(grid, div_array(tuple(comps), grid.dx))
-    return solve_poisson_zero_mean(rhs)
+    rhs = ScalarField(grid, div_array(comps, dx))
+    if grid.dim == 2:
+        return solve_poisson_zero_mean(rhs)
+
+    b = _compatible_rhs(rhs)
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return ScalarField.zeros(grid), SolveReport(0, 0.0, True)
+    q = params.r * u.components[0] - f.components[0]
+    q -= q.mean()
+    s = np.cumsum(dx * q)
+    s -= s.mean()
+    rel = float(np.linalg.norm(b - _apply_neg_laplacian(s, grid))) / b_norm
+    report = SolveReport(1, rel, bool(rel <= _TOL))
+    _check_converged(report, "poisson prefix sum")
+    return ScalarField(grid, s), report

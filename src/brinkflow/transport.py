@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CongestionOverflow
-from .grid import ScalarField, div_array
+from .grid import ScalarField, div_array, lower_neighbor
 
 __all__ = ["SimState", "stable_dt", "advect_density", "advect_big_lambda"]
 
@@ -57,7 +57,7 @@ def stable_dt(u, grid, cfl):
 
 def _upwind_flux(cell_data, u_comp, axis):
     # face i separates cell i-1 (upwind for u > 0) from cell i
-    left = np.roll(cell_data, 1, axis=axis)
+    left = lower_neighbor(cell_data, axis)
     return u_comp * np.where(u_comp >= 0.0, left, cell_data)
 
 
@@ -82,16 +82,20 @@ def advect_density(rho, u, dt, params):
     return ScalarField(rho.grid, new)
 
 
+def _cell_values(x):
+    return x.data if isinstance(x, ScalarField) else x
+
+
 def advect_big_lambda(big_lam, u, divu, lam_field, dt):
     """Upwind transport of the memory field with compression source.
 
-    divu and lam_field are passed in (cell fields already computed by the
-    caller) so the source uses exactly the same velocity divergence as the
-    diagnostics.
+    divu and lam_field are passed in (cell fields or cell arrays the caller
+    already holds) so the source uses exactly the same velocity divergence
+    as the diagnostics; arrays are used as given, without re-validation.
     """
     new = (
         big_lam.data
         - dt * _flux_divergence(big_lam.data, u)
-        - dt * lam_field.data * divu.data
+        - dt * _cell_values(lam_field) * _cell_values(divu)
     )
     return ScalarField(big_lam.grid, new)

@@ -5,11 +5,15 @@ configuration, 3 solver failure, 4 congestion overflow, 5 classification
 disagreement under --expect-theory.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from brinkflow import SWEEP_METRICS, SweepRow, SweepTable
+from brinkflow import LawParams, RunConfig
 from brinkflow.cli import build_parser, main
+from brinkflow.cli import _params_from_table
 
 GOOD_CFG = """
 dim = 1
@@ -234,3 +238,26 @@ def test_classify_unclassifiable(tmp_path):
     path = save_table(tmp_path, lambda v: {"mp_residual": 1.0})
     assert main(["classify", "--table", path]) == 1
     assert main(["classify", "--table", path, "--expect-theory"]) == 5
+
+
+def test_classify_hand_written_table_takes_run_config_defaults(tmp_path, monkeypatch,
+                                                               capsys):
+    # a table whose header omits delta, mu and r classifies with the values
+    # RunConfig would give those keys
+    rows = "\n".join(f"{v:g},ok," + ",".join(
+        f"{v**0.7 if name == 'L1_big_lam' else 1.0:.17g}"
+        for name in SWEEP_METRICS for _ in range(2)) for v in (1e-1, 1e-2, 1e-3, 1e-4))
+    cols = ",".join(f"{p}_{name}" for name in SWEEP_METRICS for p in ("final", "max"))
+    path = tmp_path / "hand.csv"
+    path.write_text("# axis=epsilon\n# epsilon=0.01\n# gamma=3\n# beta=2\n"
+                    f"value,status,{cols}\n{rows}\n")
+    table = SweepTable.load(path)
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    assert _params_from_table(table) == LawParams(
+        epsilon=0.01, gamma=3.0, beta=2.0,
+        delta=defaults["delta"], mu=defaults["mu"], r=defaults["r"])
+    assert main(["classify", "--table", str(path), "--expect-theory"]) == 0
+    assert "observed=PressureNoMemory" in capsys.readouterr().out
+    # the defaults are read from RunConfig, not restated
+    monkeypatch.setattr(RunConfig.__dataclass_fields__["mu"], "default", 0.75)
+    assert _params_from_table(table).mu == 0.75

@@ -25,6 +25,7 @@ from brinkflow import (
     write_snapshot,
 )
 from brinkflow.grid import curl_array, curl_t_array
+from brinkflow.grid import div_array, grad_array, lower_neighbor
 
 
 def random_scalar(grid, rng):
@@ -203,3 +204,30 @@ def test_max_abs(rng):
     u = random_vector(g, rng)
     expected = max(float(np.max(np.abs(c))) for c in u.components)
     assert u.max_abs() == expected
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stencils_equal_roll_form(dim, rng):
+    # the stencils slice instead of calling np.roll, with the same operand
+    # order, so they must agree with the roll form exactly, not to round-off
+    g = make_grid(dim, 12)
+    dx = g.dx
+    s = rng.standard_normal(g.shape)
+    comps = tuple(rng.standard_normal(g.shape) for _ in range(dim))
+    ref_div = np.zeros(g.shape)
+    for a, c in enumerate(comps):
+        ref_div += np.roll(c, -1, axis=a) - c
+    ref_div /= dx
+    assert np.array_equal(div_array(comps, dx), ref_div)
+    assert np.array_equal(div_array(np.stack(comps), dx), ref_div)
+    for a, grad in enumerate(grad_array(s, dx, dim)):
+        assert np.array_equal(grad, (s - np.roll(s, 1, axis=a)) / dx)
+        assert np.array_equal(lower_neighbor(s, a), np.roll(s, 1, axis=a))
+    if dim == 2:
+        ux, uy = comps
+        ref_curl = ((uy - np.roll(uy, 1, axis=0)) / dx
+                    - (ux - np.roll(ux, 1, axis=1)) / dx)
+        assert np.array_equal(curl_array(comps, dx), ref_curl)
+        cx, cy = curl_t_array(s, dx)
+        assert np.array_equal(cx, (np.roll(s, -1, axis=1) - s) / dx)
+        assert np.array_equal(cy, -(np.roll(s, -1, axis=0) - s) / dx)

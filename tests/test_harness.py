@@ -647,6 +647,46 @@ def test_sweep_header_holds_config_keys(tmp_path):
     assert float(header["epsilon"]) == cfg.epsilon
 
 
+def test_sweep_header_records_scenario_params(tmp_path):
+    cfg = parse_config(BASE_TEXT)
+    table = sweep(cfg, "epsilon", [1e-2, 1e-3, 1e-4], outdir=str(tmp_path))
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    head = [line for line in lines if line.startswith("#")]
+    config_lines = [line for line in head if line.startswith("# ")]
+    # the config lines come first, then one line per scenario parameter,
+    # its value written to 17 digits like the config values
+    assert head == config_lines + [f"## scenario.rho0={0.3:.17g}"]
+    assert config_lines[0] == "# axis=epsilon"
+    back = SweepTable.load(tmp_path / "sweep.csv")
+    assert back.scenario_params == {"rho0": 0.3} == table.scenario_params
+    assert back.params == table.params
+    params = cfg.law_params()
+    assert (classify_limit(back, params).summary()
+            == classify_limit(table, params).summary())
+    assert fit_rate(back, "L1_p") == fit_rate(table, "L1_p")
+
+
+def test_time_loop_calls_no_np_roll(monkeypatch):
+    # the stencils, the upwind shift and the tridiagonal solve slice; np.roll
+    # costs microseconds of overhead per call in a step of a few hundred
+    calls = 0
+    roll = np.roll
+
+    def counting_roll(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return roll(*args, **kwargs)
+
+    monkeypatch.setattr(np, "roll", counting_roll)
+    run_simulation(parse_config(
+        "dim = 1\nn = 32\nt_end = 0.02\nepsilon = 1e-2\ngamma = 2\nbeta = 3\n"
+        "scenario = compression\nscenario.f0 = 50\n"))
+    run_simulation(parse_config(
+        "dim = 2\nn = 8\nt_end = 0.02\nepsilon = 1e-2\ngamma = 2\nbeta = 3\n"
+        "scenario = rotation_squeeze\n"))
+    assert calls == 0
+
+
 def test_sweep_validation_and_degenerate(tmp_path):
     cfg = parse_config(BASE_TEXT)
     with pytest.raises(ConfigError):

@@ -232,3 +232,30 @@ def test_monotonicity(rng):
         assert np.all(np.diff(getattr(v, name)) > 0), name
     assert np.all(np.diff(v.nu) < 0)
     assert np.all(v.nu > 0) and np.all(v.nu <= 1.0 / (2 * params.mu))
+
+
+def test_exact_laws_equal_closed_forms(rng):
+    # delta = 0 evaluates the whole array without a mask; the values must be
+    # the defining formulas exactly, for array and scalar input
+    params = LawParams(epsilon=0.3, delta=0.0, gamma=2.5, beta=3.5, mu=0.4)
+    eps, gamma, beta = params.epsilon, params.gamma, params.beta
+    rho = rng.uniform(0.0, 0.999, (3, 7))
+    q = rho / (1.0 - rho)
+    ref = {
+        "p": eps * q**gamma,
+        "lam": eps * q**beta,
+        "big_lam": (eps / (beta - 1.0)) * rho * q ** (beta - 1.0),
+        "h": (eps / (gamma - 1.0)) * rho * q ** (gamma - 1.0),
+        "dp": eps * gamma * q ** (gamma - 1.0) / (1.0 - rho) ** 2,
+    }
+    ref["nu"] = 1.0 / (2.0 * params.mu + ref["lam"])
+    arr = evaluate_laws(rho, params)
+    for name, want in ref.items():
+        assert np.array_equal(getattr(arr, name), want), name
+    for idx in [(0, 0), (2, 6)]:
+        one = evaluate_laws(float(rho[idx]), params)
+        for name, want in ref.items():
+            assert getattr(one, name) == want[idx], name
+    for bad in ([0.5, -1e-3], [0.5, 1.0], [0.5, np.inf]):
+        with pytest.raises(DomainError):
+            evaluate_laws(np.array(bad), params)

@@ -205,6 +205,84 @@ def test_compute_s_continuum_mode():
     assert float(np.max(np.abs(s.data - exact))) <= 2e-4
 
 
+def test_compute_s_1d_prefix_sum_matches_fft_solve(rng):
+    # in 1D S is a prefix sum; it must agree with the FFT solve of
+    # -Lap S = div(f - r u) to round-off and have zero mean
+    g = make_grid(1, 64)
+    u = FaceVectorField(g, (rng.standard_normal(g.shape),))
+    f = FaceVectorField(g, (50.0 * rng.standard_normal(g.shape),))
+    s, rep = compute_S(u, f, PARAMS)
+    assert rep.converged and rep.iterations == 1
+    assert rep.final_relative_residual <= 1e-10
+    rhs = ScalarField(g, div_array((f.components[0] - PARAMS.r * u.components[0],), g.dx))
+    ref, _ = solve_poisson_zero_mean(rhs)
+    scale = float(np.max(np.abs(ref.data)))
+    assert float(np.max(np.abs(s.data - ref.data))) <= 1e-12 * scale
+    assert abs(float(np.mean(s.data))) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_compute_s_rejects_incompatible_rhs(dim, rng, monkeypatch):
+    # div of a periodic field has zero mean up to round-off, so an
+    # incompatible right-hand side needs a broken divergence
+    g = make_grid(dim, 8)
+    u = FaceVectorField(g, tuple(rng.standard_normal(g.shape) for _ in range(dim)))
+    f = FaceVectorField.zeros(g)
+    div = brinkflow.momentum.div_array
+    monkeypatch.setattr(brinkflow.momentum, "div_array",
+                        lambda comps, dx: div(comps, dx) + 1.0)
+    with pytest.raises(CompatibilityError):
+        compute_S(u, f, PARAMS)
+
+
+def _reference_cyclic_solve(coef, r, dx, b):
+    """The cyclic Thomas solve written plainly, with np.roll and separate
+    sweeps; the package's fused loops must reproduce it bit for bit."""
+    n = coef.size
+    dx2 = dx * dx
+    off = (-coef / dx2).tolist()
+    diag = ((coef + np.roll(coef, 1)) / dx2 + r).tolist()
+    corner = off[n - 1]
+    g = -diag[0]
+    diag[0] -= g
+    diag[n - 1] -= corner * corner / g
+    d = [0.0] * n
+    lo = [0.0] * n
+    d[0] = diag[0]
+    for i in range(1, n):
+        lo[i - 1] = off[i - 1] / d[i - 1]
+        d[i] = diag[i] - lo[i - 1] * off[i - 1]
+
+    def solve_t(rhs):
+        y = rhs.tolist()
+        for i in range(1, n):
+            y[i] -= lo[i - 1] * y[i - 1]
+        y[n - 1] /= d[n - 1]
+        for i in range(n - 2, -1, -1):
+            y[i] = y[i] / d[i] - lo[i] * y[i + 1]
+        return np.array(y)
+
+    gw = np.zeros(n)
+    gw[0] = g
+    gw[n - 1] = corner
+    z = solve_t(gw)
+    w_last = corner / g
+    z_scale = 1.0 + z[0] + w_last * z[n - 1]
+    y = solve_t(b)
+    return y - ((y[0] + w_last * y[n - 1]) / z_scale) * z
+
+
+@pytest.mark.parametrize("n", [5, 64])
+def test_cyclic_solver_equals_reference_loops(n, rng):
+    coef = 2.0 * PARAMS.mu + evaluate_laws(rng.uniform(0.2, 0.99, n), PARAMS).lam
+    b = rng.standard_normal(n)
+    dx = 1.0 / n
+    solve = brinkflow.momentum._cyclic_tridiagonal_solver(coef, PARAMS.r, dx)
+    x = solve(b[None, :])
+    assert x.shape == (1, n)
+    assert np.array_equal(x[0], _reference_cyclic_solve(coef, PARAMS.r, dx, b))
+
+
 # -- direct solves against dense references -------------------------------------
 
 def _dense(apply_col, size):

@@ -19,6 +19,7 @@ from brinkflow import (
     stable_dt,
 )
 from brinkflow.grid import cell_coords
+from brinkflow.transport import _upwind_flux
 
 EXACT = LawParams(epsilon=1e-2, delta=0.0, gamma=2.0, beta=3.0)
 TRUNC = LawParams(epsilon=1e-2, delta=0.2, gamma=2.0, beta=3.0)
@@ -136,3 +137,14 @@ def test_big_lambda_pure_transport_shift(rng):
     zero = ScalarField.zeros(g)
     new = advect_big_lambda(big, u, zero, zero, g.dx / c)
     np.testing.assert_allclose(new.data, np.roll(big.data, 1), rtol=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_upwind_flux_equals_roll_form(dim, rng):
+    g = make_grid(dim, 10)
+    cell = rng.uniform(0.1, 0.9, g.shape)
+    for axis in range(dim):
+        u = rng.standard_normal(g.shape)
+        u[(0,) * dim] = 0.0   # the u >= 0 branch at a zero velocity
+        ref = u * np.where(u >= 0.0, np.roll(cell, 1, axis=axis), cell)
+        assert np.array_equal(_upwind_flux(cell, u, axis), ref)
