@@ -40,7 +40,7 @@ import numpy as np
 
 from .grid import ScalarField, curl_array, div_array, mean_and_measure
 from .laws import evaluate_laws
-from .momentum import compute_S
+from .momentum import compute_S, linearised_bulk
 # perfbench/tracing.py wraps this binding; keep it importable from here
 from .momentum import solve_poisson_zero_mean  # noqa: F401
 
@@ -104,11 +104,11 @@ class DiagnosticsRecord:
 def _flux_pieces(rho, u, f, vals, params, divu, solve_dt=0.0):
     """Shared computation from the law values and div u: coef, F, S, residuals.
 
-    coef = 2*mu + lam is the physical bulk coefficient; F and the residuals
-    use the coefficient of the momentum solve, coef + solve_dt*rho*dp.
+    coef = 2*mu + lam is the physical bulk coefficient; F and the residuals use
+    the solve's coefficient, 2*mu + linearised_bulk(vals, rho, solve_dt).
     """
     coef = 2.0 * params.mu + vals.lam
-    bulk = vals.lam + solve_dt * rho.data * vals.dp
+    bulk = linearised_bulk(vals, rho.data, solve_dt)
     total = 2.0 * params.mu + bulk
     F = total * divu - vals.p
     S, rep = compute_S(u, f, params)

@@ -8,6 +8,10 @@ Layout on the torus [0, L)^dim with n cells per direction:
     cell ``i``;
   * the 2D curl lives at cell corners (nodes), node ``[i, j]`` at (i*dx, j*dx).
 
+A face vector is one float array of shape ``(dim,) + grid.shape`` with
+component ``a`` at index ``a``, in ``FaceVectorField.components``, from
+``grad_array`` and ``curl_t_array``, and through the solves in ``momentum``.
+
 With this indexing
 
     div(u)[i]  = (u[i+1] - u[i]) / dx        (per axis, periodic wrap)
@@ -84,10 +88,13 @@ def make_grid(dim, n, length=1.0):
     return Grid(int(dim), int(n), float(length))
 
 
-def _check_values(grid, data):
-    data = np.asarray(data, dtype=float)
-    if data.shape != grid.shape:
-        raise ConfigError(f"field shape {data.shape} does not match grid shape {grid.shape}")
+def _check_values(shape, data):
+    try:
+        data = np.asarray(data, dtype=float)
+    except ValueError as exc:   # ragged nesting or non-numeric entries
+        raise ConfigError(f"field values do not form a float array: {exc}") from None
+    if data.shape != shape:
+        raise ConfigError(f"field shape {data.shape} does not match {shape}")
     if not np.isfinite(data).all():
         raise ConfigError("field contains non-finite values")
     return data
@@ -100,7 +107,7 @@ class ScalarField:
 
     def __init__(self, grid, data):
         self.grid = grid
-        self.data = _check_values(grid, data)
+        self.data = _check_values(grid.shape, data)
 
     @classmethod
     def zeros(cls, grid):
@@ -117,35 +124,27 @@ class ScalarField:
 
 
 class FaceVectorField:
-    """Velocity-like field: one component array per axis, face-centered."""
+    """Velocity-like field: ``components`` is one float array of shape
+    ``(dim,) + grid.shape``, ``components[a]`` on the faces normal to axis a.
+    The constructor also takes a sequence of ``dim`` cell-shaped arrays."""
 
     __slots__ = ("grid", "components")
 
     def __init__(self, grid, components):
-        comps = tuple(np.asarray(c, dtype=float) for c in components)
-        if len(comps) != grid.dim:
-            raise ConfigError(f"expected {grid.dim} components, got {len(comps)}")
-        for c in comps:
-            _check_values(grid, c)
         self.grid = grid
-        self.components = comps
+        self.components = _check_values((grid.dim,) + grid.shape, components)
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, tuple(np.zeros(grid.shape) for _ in range(grid.dim)))
+        return cls(grid, np.zeros((grid.dim,) + grid.shape))
 
     @classmethod
     def from_function(cls, grid, *fns):
         """Sample one function per component at that component's face points."""
-        if len(fns) != grid.dim:
-            raise ConfigError(f"expected {grid.dim} component functions, got {len(fns)}")
-        comps = []
-        for a, fn in enumerate(fns):
-            comps.append(np.asarray(fn(*face_coords(grid, a)), dtype=float))
-        return cls(grid, tuple(comps))
+        return cls(grid, [fn(*face_coords(grid, a)) for a, fn in enumerate(fns)])
 
     def max_abs(self):
-        return max(float(np.max(np.abs(c))) for c in self.components)
+        return float(np.abs(self.components).max())
 
 
 def cell_coords(grid):
@@ -179,19 +178,19 @@ def _axis_slices(axis):
 _SLICES = (_axis_slices(0), _axis_slices(1))
 
 
-def _forward_diff(c, axis):
+def _forward_diff(c, axis, out=None):
     """c[i+1] - c[i] along axis, periodic (np.roll(c, -1, axis) - c)."""
     init, tail, last, first = _SLICES[axis]
-    out = np.empty_like(c)
+    out = np.empty_like(c) if out is None else out
     np.subtract(c[tail], c[init], out=out[init])
     np.subtract(c[first], c[last], out=out[last])
     return out
 
 
-def _backward_diff(c, axis):
+def _backward_diff(c, axis, out=None):
     """c[i] - c[i-1] along axis, periodic (c - np.roll(c, 1, axis))."""
     init, tail, last, first = _SLICES[axis]
-    out = np.empty_like(c)
+    out = np.empty_like(c) if out is None else out
     np.subtract(c[tail], c[init], out=out[tail])
     np.subtract(c[first], c[last], out=out[first])
     return out
@@ -215,10 +214,11 @@ def div_array(components, dx):
 
 
 def grad_array(data, dx, dim):
-    grads = tuple(_backward_diff(data, a) for a in range(dim))
-    for g in grads:
-        g /= dx
-    return grads
+    out = np.empty((dim,) + data.shape)
+    for a in range(dim):
+        _backward_diff(data, a, out[a])
+    out /= dx
+    return out
 
 
 def curl_array(components, dx):
@@ -233,11 +233,12 @@ def curl_array(components, dx):
 
 def curl_t_array(w, dx):
     """Adjoint of the node curl: node scalar -> face vector."""
-    cx = _forward_diff(w, 1)
-    cx /= dx
-    cy = _forward_diff(w, 0)
-    cy /= -dx   # x / (-dx) == -x / dx exactly
-    return (cx, cy)
+    out = np.empty((2,) + w.shape)
+    _forward_diff(w, 1, out[0])
+    out[0] /= dx
+    _forward_diff(w, 0, out[1])
+    out[1] /= -dx   # x / (-dx) == -x / dx exactly
+    return out
 
 
 def divergence(u):

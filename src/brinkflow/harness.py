@@ -7,8 +7,8 @@ Time loop (operator splitting per step):
      previous velocity (u = 0 on the first step), snapshot_every, time
      remaining),
   3. solve the semi-stationary momentum system for u^n (directly in 1D,
-     through the viscous flux in 2D) with the pressure linearised in time,
-     starting from u^{n-1},
+     through the viscous flux in 2D) with the pressure linearised over dt
+     (``solve_momentum(..., dt=dt)``), starting from u^{n-1},
   4. assemble the diagnostics record (includes the effective-flux solve),
   5. lower dt to the CFL cap of u^n, without solving again,
   6. advect rho and big_lam with u^n; a rejected density update
@@ -196,8 +196,9 @@ def _wrap_centered(x, center, length):
 
 def _x_force(grid, fn):
     """Force fn(x) on the axis-0 faces, zero along the other axes."""
-    fx = fn(face_coords(grid, 0)[0])
-    return FaceVectorField(grid, (fx,) + (np.zeros(grid.shape),) * (grid.dim - 1))
+    comps = np.zeros((grid.dim,) + grid.shape)
+    comps[0] = fn(face_coords(grid, 0)[0])
+    return FaceVectorField(grid, comps)
 
 
 def _scenario_equilibrium(grid, sp):
@@ -343,11 +344,8 @@ def run_simulation(config, outdir=None):
     while True:
         done = state.t >= config.t_end - _TIME_EPS
         dt = 0.0 if done else min(cap, snap_cap, config.t_end - state.t)
-        # the linearised pressure enters as extra bulk viscosity; the solve
-        # reads only p and lam
-        lin = replace(vals, lam=vals.lam + dt * state.rho.data * vals.dp)
         try:
-            u, mrep = solve_momentum(state.rho, f, params, u0=state.u, laws=lin)
+            u, mrep = solve_momentum(state.rho, f, params, u0=state.u, laws=vals, dt=dt)
         except SolverDiverged as exc:
             exc.records = records
             raise

@@ -38,8 +38,8 @@ holds exactly at the discrete level.  In 2D it is that FFT solve.  In 1D
 no solve is needed: grad S = r*u - f up to a constant, so S is the
 zero-mean prefix sum of dx*(r*u - f - mean(r*u - f)).
 
-Inside the solves a face vector is one array, its components stacked on
-axis 0 (``np.stack(u.components)``; ``x[a]`` is component ``a``).
+The solves take and return ``FaceVectorField.components`` as it is, and
+``linearised_bulk`` adds the linearised pressure's dt*rho*p'(rho) to lam.
 
 Every solve targets the fixed relative residual _TOL = 1e-10 and returns a
 ``SolveReport``.  A direct solve measures its residual with one application
@@ -74,6 +74,7 @@ __all__ = [
     "solve_poisson_zero_mean",
     "compute_S",
     "apply_momentum_operator",
+    "linearised_bulk",
 ]
 
 
@@ -161,20 +162,24 @@ def _check_converged(report, what):
 
 # -- momentum operator -------------------------------------------------------
 
+def linearised_bulk(laws, rho, dt):
+    """lam + dt*rho*p'(rho) from ``laws = evaluate_laws(rho, params)``, the bulk
+    viscosity with the pressure linearised over dt; exactly lam at dt = 0."""
+    return laws.lam + dt * rho * laws.dp
+
+
 def _apply_momentum(x, coef, mu, r, dx):
-    """Apply A to a stacked face vector x; coef is the cell array 2*mu + lam."""
-    out = -np.stack(grad_array(coef * div_array(x, dx), dx, len(x)))
+    """Apply A to a face vector array x; coef is the cell array 2*mu + lam."""
+    out = -grad_array(coef * div_array(x, dx), dx, len(x))
     if len(x) == 2:
-        out += mu * np.stack(curl_t_array(curl_array(x, dx), dx))
+        out += mu * curl_t_array(curl_array(x, dx), dx)
     out += r * x
     return out
 
 
 def apply_momentum_operator(u, coef, mu, r):
     """Apply A to a face vector field; coef is the cell array 2*mu + lam."""
-    grid = u.grid
-    return FaceVectorField(
-        grid, tuple(_apply_momentum(np.stack(u.components), coef, mu, r, grid.dx)))
+    return FaceVectorField(u.grid, _apply_momentum(u.components, coef, mu, r, u.grid.dx))
 
 
 @dataclass(frozen=True)
@@ -183,13 +188,13 @@ class _FourierSymbols:
 
     lap  : eigenvalues of -Delta_h, sum_axes (4/dx^2) sin^2(pi k_a/n), with
            the zero mode (eigenvalue 0) stored as 1 so that lap can divide
-    unit : 2D only, a / |a| per axis, where a_j = (1 - exp(-2 pi i k_j/n))/dx
-           is the symbol of grad_array; 0 on the zero mode.  The projector
+    unit : 2D only, a / |a| stacked on axis 0, a_j = (1 - exp(-2 pi i k_j/n))/dx
+           being the symbol of grad_array; 0 on the zero mode.  The projector
            onto gradients is P = unit unit^H.
     """
 
     lap: np.ndarray
-    unit: tuple | None
+    unit: np.ndarray | None
 
 
 @functools.lru_cache(maxsize=8)
@@ -206,9 +211,8 @@ def _fourier_symbols(dim, n, dx):
         k1 = np.arange(n // 2 + 1)[None, :]
         norm = np.sqrt(lap)   # |a|, still 0 on the zero mode
         norm[zero_mode] = 1.0
-        unit = tuple((1.0 - np.exp(-2j * np.pi * k / n)) / dx / norm for k in (k0, k1))
-        for arr in unit:
-            arr.setflags(write=False)
+        unit = np.array([(1.0 - np.exp(-2j * np.pi * k / n)) / dx / norm for k in (k0, k1)])
+        unit.setflags(write=False)
     lap[zero_mode] = 1.0
     lap.setflags(write=False)
     return _FourierSymbols(lap, unit)
@@ -249,14 +253,11 @@ def _flux_reduced_solver(coef, mu, r, grid, inner_reports):
         fv, rep = _cg(flux_op, g, 1e-3 * _TOL, 50 * grid.n * grid.dim, precond)
         inner_reports.append(rep)
         _check_converged(rep, "momentum flux CG")
-        bh = [np.fft.rfftn(c, axes=axes) for c in b]
+        bh = np.fft.rfftn(b, axes=(1, 2))
         pb = proj_gain * (sym.unit[0].conj() * bh[0] + sym.unit[1].conj() * bh[1])
-        grad_fv = grad_array(fv.reshape(grid.shape), grid.dx, grid.dim)
-        return np.stack([
-            np.fft.irfftn(inv_h * bh[j] + sym.unit[j] * pb, s=grid.shape, axes=axes)
-            + grad_fv[j] / r
-            for j in range(2)
-        ])
+        x = np.fft.irfftn(inv_h * bh + sym.unit * pb, s=grid.shape, axes=(1, 2))
+        x += grad_array(fv.reshape(grid.shape), grid.dx, grid.dim) / r
+        return x
 
     return solve
 
@@ -317,12 +318,12 @@ def _cyclic_tridiagonal_solver(coef, r, dx):
 
     def solve(b):
         y = solve_t(b[0])
-        return np.stack([y - ((y[0] + w_last * y[n - 1]) / z_scale) * z])
+        return (y - ((y[0] + w_last * y[n - 1]) / z_scale) * z)[np.newaxis]
 
     return solve
 
 
-def solve_momentum(rho, f, params, u0=None, laws=None):
+def solve_momentum(rho, f, params, u0=None, laws=None, dt=0.0):
     """Solve A u = f - grad(p(rho)) for the velocity.
 
     rho : ScalarField (density), f : FaceVectorField (force).
@@ -330,17 +331,17 @@ def solve_momentum(rho, f, params, u0=None, laws=None):
     and it is returned unchanged, with 0 iterations, when it already meets
     the tolerance.  ``laws`` optionally passes
     ``evaluate_laws(rho.data, params)`` when the caller already holds it; the
-    solution is the same either way.  Only its p and lam are read: the time
-    loop passes lam + dt*rho*dp, the bulk term of its linearised pressure.
+    solution is the same either way.  ``dt`` linearises the pressure over a
+    step dt, so A has the bulk coefficient 2*mu + linearised_bulk(laws, rho,
+    dt); dt = 0, the default, is the exact semi-stationary solve.
     Returns (u, SolveReport); raises SolverDiverged when the tolerance is
     missed, with the report attached to the exception.
     """
     grid = rho.grid
     vals = laws if laws is not None else evaluate_laws(rho.data, params)
-    coef = 2.0 * params.mu + vals.lam
-    gp = grad_array(vals.p, grid.dx, grid.dim)
-    b = np.stack(f.components) - np.stack(gp)
-    x0 = np.stack(u0.components) if u0 is not None else None
+    coef = 2.0 * params.mu + linearised_bulk(vals, rho.data, dt)
+    b = f.components - grad_array(vals.p, grid.dx, grid.dim)
+    x0 = u0.components if u0 is not None else None
 
     def apply_op(v):
         return _apply_momentum(v, coef, params.mu, params.r, grid.dx)
@@ -354,7 +355,7 @@ def solve_momentum(rho, f, params, u0=None, laws=None):
     if grid.dim == 2:
         report = replace(report, iterations=sum(rep.iterations for rep in inner))
     _check_converged(report, "momentum solve")
-    return FaceVectorField(grid, tuple(x)), report
+    return FaceVectorField(grid, x), report
 
 
 # -- Poisson on the mean-zero subspace ---------------------------------------
@@ -364,16 +365,15 @@ def _apply_neg_laplacian(s, grid):
 
 
 def _compatible_rhs(g):
-    """g minus its mean; raises CompatibilityError unless the mean is
-    negligible, |mean(g)| <= 1e-10 * max|g| (solvability of -Delta_h s = g)."""
-    data = g.data
-    g_max = float(np.abs(data).max())
-    g_mean = float(data.mean())
+    """The cell array g minus its mean; raises CompatibilityError unless
+    |mean(g)| <= 1e-10 * max|g| (solvability of -Delta_h s = g)."""
+    g_max = float(np.abs(g).max())
+    g_mean = float(g.mean())
     if g_max > 0.0 and abs(g_mean) > 1e-10 * g_max:
         raise CompatibilityError(
             f"poisson right-hand side has mean {g_mean:.3e} (max |g| = {g_max:.3e})"
         )
-    return data - g_mean
+    return g - g_mean
 
 
 def solve_poisson_zero_mean(g):
@@ -384,8 +384,12 @@ def solve_poisson_zero_mean(g):
     the solve.  Raises SolverDiverged if the residual misses _TOL after
     one refinement step.
     """
-    grid = g.grid
-    b = _compatible_rhs(g)
+    s, report = _poisson_fft(_compatible_rhs(g.data), g.grid)
+    return ScalarField(g.grid, s), report
+
+
+def _poisson_fft(b, grid):
+    """(s, SolveReport) for -Delta_h s = b, b and s mean-zero cell arrays."""
     axes = tuple(range(grid.dim))
     zero_mode = (0,) * grid.dim
     symbol = _fourier_symbols(grid.dim, grid.n, grid.dx).lap
@@ -397,7 +401,7 @@ def solve_poisson_zero_mean(g):
 
     x, report = _direct(lambda v: _apply_neg_laplacian(v, grid), solve, b, None, _TOL)
     _check_converged(report, "poisson FFT solve")
-    return ScalarField(grid, x - x.mean()), report
+    return x - x.mean(), report
 
 
 def compute_S(u, f, params):
@@ -415,12 +419,11 @@ def compute_S(u, f, params):
     """
     grid = u.grid
     dx = grid.dx
-    comps = [f.components[a] - params.r * u.components[a] for a in range(grid.dim)]
-    rhs = ScalarField(grid, div_array(comps, dx))
+    b = _compatible_rhs(div_array(f.components - params.r * u.components, dx))
     if grid.dim == 2:
-        return solve_poisson_zero_mean(rhs)
+        s, report = _poisson_fft(b, grid)
+        return ScalarField(grid, s), report
 
-    b = _compatible_rhs(rhs)
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return ScalarField.zeros(grid), SolveReport(0, 0.0, True)

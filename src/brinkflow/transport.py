@@ -13,6 +13,10 @@ The memory field big_lam follows the same upwind transport plus the
 compression source -lam * div(u):
 
     big_lam^{n+1} = big_lam^n - dt * div(flux(big_lam^n, u)) - dt * lam * div(u).
+
+big_lam does not keep its sign: the source is negative where the flow
+expands, and every benchmark workload drives it below zero (to -2.2e-4 on
+c2d_rotation).  A sign guard would abort them, so there is none.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CongestionOverflow
-from .grid import ScalarField, div_array, lower_neighbor
+from .grid import FaceVectorField, ScalarField, div_array, lower_neighbor
 
 __all__ = ["SimState", "stable_dt", "advect_density", "advect_big_lambda"]
 
@@ -41,7 +45,7 @@ class SimState:
 
     t: float
     rho: ScalarField
-    u: object  # FaceVectorField; untyped to keep this module import-light
+    u: FaceVectorField
     big_lam: ScalarField
     step_count: int = 0
 
@@ -62,9 +66,7 @@ def _upwind_flux(cell_data, u_comp, axis):
 
 
 def _flux_divergence(cell_data, u):
-    fluxes = tuple(
-        _upwind_flux(cell_data, u.components[a], a) for a in range(u.grid.dim)
-    )
+    fluxes = [_upwind_flux(cell_data, c, a) for a, c in enumerate(u.components)]
     return div_array(fluxes, u.grid.dx)
 
 
@@ -82,20 +84,15 @@ def advect_density(rho, u, dt, params):
     return ScalarField(rho.grid, new)
 
 
-def _cell_values(x):
-    return x.data if isinstance(x, ScalarField) else x
-
-
-def advect_big_lambda(big_lam, u, divu, lam_field, dt):
+def advect_big_lambda(big_lam, u, divu, lam, dt):
     """Upwind transport of the memory field with compression source.
 
-    divu and lam_field are passed in (cell fields or cell arrays the caller
-    already holds) so the source uses exactly the same velocity divergence
-    as the diagnostics; arrays are used as given, without re-validation.
+    divu and lam are cell arrays the caller already holds, so the source uses
+    the velocity divergence of the diagnostics; they are not re-validated.
     """
     new = (
         big_lam.data
         - dt * _flux_divergence(big_lam.data, u)
-        - dt * _cell_values(lam_field) * _cell_values(divu)
+        - dt * lam * divu
     )
     return ScalarField(big_lam.grid, new)

@@ -56,6 +56,13 @@ def test_field_shape_validation():
         ScalarField(g, np.zeros(7))
     with pytest.raises(ConfigError):
         FaceVectorField(g, (np.zeros(8), np.zeros(8)))
+    with pytest.raises(ConfigError):
+        FaceVectorField(g, (np.zeros(7),))
+    g2 = make_grid(2, 8)
+    with pytest.raises(ConfigError):   # ragged: not numpy's ValueError
+        FaceVectorField(g2, (np.zeros((8, 8)), np.zeros((8, 7))))
+    stacked = np.arange(8.0).reshape(1, 8)   # the (dim, n) layout itself
+    assert np.array_equal(FaceVectorField(g, stacked).components, stacked)
 
 
 def test_coordinate_layout():

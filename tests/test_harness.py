@@ -687,6 +687,26 @@ def test_time_loop_calls_no_np_roll(monkeypatch):
     assert calls == 0
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_time_loop_calls_no_np_stack(dim, monkeypatch):
+    # face vectors keep one (dim, *grid.shape) layout from the solves to the
+    # record, so the time loop never re-stacks components
+    calls = 0
+    stack = np.stack
+
+    def counting_stack(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return stack(*args, **kwargs)
+
+    monkeypatch.setattr(np, "stack", counting_stack)
+    scenario = "compression\nscenario.f0 = 50" if dim == 1 else "rotation_squeeze"
+    run_simulation(parse_config(
+        f"dim = {dim}\nn = {32 if dim == 1 else 8}\nt_end = 0.02\nepsilon = 1e-2\n"
+        f"gamma = 2\nbeta = 3\nscenario = {scenario}\n"))
+    assert calls == 0
+
+
 def test_sweep_validation_and_degenerate(tmp_path):
     cfg = parse_config(BASE_TEXT)
     with pytest.raises(ConfigError):

@@ -5,6 +5,8 @@ operator, which gives closed-form discrete solutions: the solver must match
 them to its own tolerance, not merely to truncation order.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -455,3 +457,22 @@ def test_momentum_2d_iterations_independent_of_contrast(rng):
         _, rep = solve_momentum(rho, f, params)
         assert rep.converged and rep.final_relative_residual <= 1e-10
         assert 0 < rep.iterations <= 40
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (2, 16)])
+def test_solve_momentum_dt_equals_doctored_lam(dim, n, rng):
+    # the linearised pressure as an extra bulk viscosity, written by hand
+    # into lam, is the reference for solve_momentum's dt
+    g = make_grid(dim, n)
+    rho = _congested_state(g, rng)
+    f = FaceVectorField(g, tuple(rng.standard_normal(g.shape) for _ in range(dim)))
+    vals = evaluate_laws(rho.data, PARAMS)
+    dt = 3e-3
+    u, rep = solve_momentum(rho, f, PARAMS, laws=vals, dt=dt)
+    ref, ref_rep = solve_momentum(
+        rho, f, PARAMS, laws=replace(vals, lam=vals.lam + dt * rho.data * vals.dp))
+    assert np.array_equal(u.components, ref.components)
+    assert rep == ref_rep
+    # dt = 0 is the exact solve, bit for bit
+    u0, _ = solve_momentum(rho, f, PARAMS, laws=vals, dt=0.0)
+    assert np.array_equal(u0.components, solve_momentum(rho, f, PARAMS)[0].components)

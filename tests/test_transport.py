@@ -125,7 +125,7 @@ def test_big_lambda_source_arithmetic():
     big = ScalarField.full(g, 2.0)
     lam = ScalarField.full(g, 3.0)
     divu = ScalarField.full(g, 0.5)
-    new = advect_big_lambda(big, FaceVectorField.zeros(g), divu, lam, 0.01)
+    new = advect_big_lambda(big, FaceVectorField.zeros(g), divu.data, lam.data, 0.01)
     np.testing.assert_allclose(new.data, 2.0 - 0.01 * 1.5, rtol=1e-15)
 
 
@@ -135,7 +135,7 @@ def test_big_lambda_pure_transport_shift(rng):
     c = 1.0
     u = FaceVectorField(g, (np.full(g.shape, c),))
     zero = ScalarField.zeros(g)
-    new = advect_big_lambda(big, u, zero, zero, g.dx / c)
+    new = advect_big_lambda(big, u, zero.data, zero.data, g.dx / c)
     np.testing.assert_allclose(new.data, np.roll(big.data, 1), rtol=1e-13)
 
 
