@@ -28,7 +28,9 @@ operand order of the ``np.roll`` form, so the results are bit-identical to
 (``div_array`` starts its sum from the first axis's difference, not from
 zeros, which can only flip the sign of an entry that is zero.)  ``np.roll``
 costs several microseconds of call overhead per use, which dominates a step
-at these grid sizes.
+at these grid sizes.  The stencils difference the trailing ``dim`` axes, so
+leading axes pass through: ``div_array`` of a face vector whose components
+are ``(K,) + grid.shape`` blocks returns the K divergences at once.
 """
 
 from __future__ import annotations
@@ -110,6 +112,13 @@ class ScalarField:
         self.data = _check_values(grid.shape, data)
 
     @classmethod
+    def _trusted(cls, grid, data):
+        """Wrap a float array of the grid's shape, known finite, unchecked."""
+        field = cls.__new__(cls)
+        field.grid, field.data = grid, data
+        return field
+
+    @classmethod
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.shape))
 
@@ -133,6 +142,13 @@ class FaceVectorField:
     def __init__(self, grid, components):
         self.grid = grid
         self.components = _check_values((grid.dim,) + grid.shape, components)
+
+    @classmethod
+    def _trusted(cls, grid, components):
+        """Wrap a float array of the face-vector shape, known finite, unchecked."""
+        field = cls.__new__(cls)
+        field.grid, field.components = grid, components
+        return field
 
     @classmethod
     def zeros(cls, grid):
@@ -175,12 +191,13 @@ def _axis_slices(axis):
             pre + (slice(-1, None),), pre + (slice(None, 1),))
 
 
-_SLICES = (_axis_slices(0), _axis_slices(1))
+# indexed by axis % ndim: a negative axis counts from the end
+_SLICES = (_axis_slices(0), _axis_slices(1), _axis_slices(2))
 
 
 def _forward_diff(c, axis, out=None):
     """c[i+1] - c[i] along axis, periodic (np.roll(c, -1, axis) - c)."""
-    init, tail, last, first = _SLICES[axis]
+    init, tail, last, first = _SLICES[axis % c.ndim]
     out = np.empty_like(c) if out is None else out
     np.subtract(c[tail], c[init], out=out[init])
     np.subtract(c[first], c[last], out=out[last])
@@ -189,7 +206,7 @@ def _forward_diff(c, axis, out=None):
 
 def _backward_diff(c, axis, out=None):
     """c[i] - c[i-1] along axis, periodic (c - np.roll(c, 1, axis))."""
-    init, tail, last, first = _SLICES[axis]
+    init, tail, last, first = _SLICES[axis % c.ndim]
     out = np.empty_like(c) if out is None else out
     np.subtract(c[tail], c[init], out=out[tail])
     np.subtract(c[first], c[last], out=out[first])
@@ -198,7 +215,7 @@ def _backward_diff(c, axis, out=None):
 
 def lower_neighbor(c, axis):
     """c[i-1] along axis, periodic (np.roll(c, 1, axis))."""
-    init, tail, last, first = _SLICES[axis]
+    init, tail, last, first = _SLICES[axis % c.ndim]
     out = np.empty_like(c)
     out[tail] = c[init]
     out[first] = c[last]
@@ -206,9 +223,10 @@ def lower_neighbor(c, axis):
 
 
 def div_array(components, dx):
-    out = _forward_diff(components[0], 0)
-    for a in range(1, len(components)):
-        out += _forward_diff(components[a], a)
+    dim = len(components)
+    out = _forward_diff(components[0], -dim)
+    for a in range(1, dim):
+        out += _forward_diff(components[a], a - dim)
     out /= dx
     return out
 
@@ -216,16 +234,16 @@ def div_array(components, dx):
 def grad_array(data, dx, dim):
     out = np.empty((dim,) + data.shape)
     for a in range(dim):
-        _backward_diff(data, a, out[a])
+        _backward_diff(data, a - dim, out[a])
     out /= dx
     return out
 
 
 def curl_array(components, dx):
     ux, uy = components
-    w = _backward_diff(uy, 0)
+    w = _backward_diff(uy, -2)
     w /= dx
-    wx = _backward_diff(ux, 1)
+    wx = _backward_diff(ux, -1)
     wx /= dx
     w -= wx
     return w
@@ -234,9 +252,9 @@ def curl_array(components, dx):
 def curl_t_array(w, dx):
     """Adjoint of the node curl: node scalar -> face vector."""
     out = np.empty((2,) + w.shape)
-    _forward_diff(w, 1, out[0])
+    _forward_diff(w, -1, out[0])
     out[0] /= dx
-    _forward_diff(w, 0, out[1])
+    _forward_diff(w, -2, out[1])
     out[1] /= -dx   # x / (-dx) == -x / dx exactly
     return out
 

@@ -9,7 +9,10 @@ Time loop (operator splitting per step):
   3. solve the semi-stationary momentum system for u^n (directly in 1D,
      through the viscous flux in 2D) with the pressure linearised over dt
      (``solve_momentum(..., dt=dt)``), starting from u^{n-1},
-  4. assemble the diagnostics record (includes the effective-flux solve),
+  4. buffer the step's arrays for its diagnostics record in a
+     ``RecordBlock``, which builds the records of K steps at once (S from
+     one ``compute_S`` call) when it is full, before a snapshot is written,
+     at t_end and before an exception leaves the loop,
   5. lower dt to the CFL cap of u^n, without solving again,
   6. advect rho and big_lam with u^n; a rejected density update
      (CongestionOverflow with delta = 0: some cell would close more than
@@ -29,9 +32,18 @@ taken, which adds damping and nothing else.  The final record (dt = 0)
 holds the exact semi-stationary solve.
 
 The law values of step 1 are the only evaluation in the step: the momentum
-solve, the diagnostics record and the big_lam source -lam * div u all reuse
-them.  Likewise div u^n is computed once, after step 3, and feeds both the
-record and the big_lam source.
+solve, the big_lam source -lam * div u and, through the block's copy of
+them, the diagnostics record all reuse them.  Likewise div u^n is computed
+once, after step 3, and feeds both the record and the big_lam source.  A
+record is built after its step, so a failure in it (a flux solve that
+stalls) surfaces at the next flush; the block is then redone one step at a
+time, and the run ends with the records of the steps before the failing
+one, as at a momentum stall, and no snapshot of a later step.
+
+Fields are validated where the loop commits them: ``evaluate_laws`` checks
+each new density and ``advect_big_lambda`` the new big_lam.  The velocity
+and S are not checked again; the residual check of each solve fails on a
+non-finite value.
 
 Sweeps rerun one configuration while varying epsilon or delta, aggregate
 final-time and max-over-time metrics per run, and feed log-log rate fits and
@@ -47,7 +59,9 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from .diagnostics import CSV_COLUMNS, build_record
+from .diagnostics import CSV_COLUMNS, RecordBlock
+# perfbench/tracing.py wraps this binding; keep it importable from here
+from .diagnostics import build_record  # noqa: F401
 from .errors import (
     CongestionOverflow,
     ConfigError,
@@ -318,7 +332,9 @@ def run_simulation(config, outdir=None):
     Returns (final SimState, list of DiagnosticsRecords).  Records are
     emitted once per accepted step plus one final record (dt = 0) at t_end.
     On solver stall or an exhausted congestion retry budget the exception is
-    re-raised with the partial record list attached as ``exc.records``.
+    re-raised with the partial record list attached as ``exc.records``: the
+    records of every step before the failing one (and, for a congestion
+    abort, that step's record too).
     If ``outdir`` is given and config.snapshot_every > 0, field snapshots are
     written under ``outdir/snapshots``.
     """
@@ -339,55 +355,57 @@ def run_simulation(config, outdir=None):
         snap_dir = os.path.join(outdir, "snapshots")
 
     records = []
+    block = RecordBlock(grid, f, params)
     cap = stable_dt(state.u, grid, config.cfl)
     snap_cap = config.snapshot_every if config.snapshot_every > 0.0 else math.inf
-    while True:
-        done = state.t >= config.t_end - _TIME_EPS
-        dt = 0.0 if done else min(cap, snap_cap, config.t_end - state.t)
-        try:
+    try:
+        while True:
+            done = state.t >= config.t_end - _TIME_EPS
+            dt = 0.0 if done else min(cap, snap_cap, config.t_end - state.t)
             u, mrep = solve_momentum(state.rho, f, params, u0=state.u, laws=vals, dt=dt)
-        except SolverDiverged as exc:
-            exc.records = records
-            raise
-        state.u = u
-        divu = div_array(u.components, grid.dx)
+            state.u = u
+            divu = div_array(u.components, grid.dx)
+            block.add(state, vals, divu, step=state.step_count,
+                      momentum_iters=mrep.iterations, solve_dt=dt)
 
-        rec, _ = build_record(
-            state, f, params, step=state.step_count, dt=0.0,
-            momentum_iters=mrep.iterations, laws=vals, solve_dt=dt, divu=divu,
-        )
+            if snap_dir is not None and state.t >= next_snap - _TIME_EPS:
+                block.flush(records)   # no snapshot after a failed record
+                _write_state_snapshots(snap_dir, state, grid)
+                next_snap += config.snapshot_every
 
-        if snap_dir is not None and state.t >= next_snap - _TIME_EPS:
-            _write_state_snapshots(snap_dir, state, grid)
-            next_snap += config.snapshot_every
-
-        if done:
-            records.append(rec)
-            break
-
-        cap = stable_dt(u, grid, config.cfl)
-        dt = min(dt, cap)
-        new_rho = None
-        for attempt in range(_MAX_HALVINGS + 1):
-            try:
-                new_rho = advect_density(state.rho, u, dt, params)
-                _check_gap(state.rho, new_rho, params)
+            if done:
                 break
-            except CongestionOverflow as exc:
-                if attempt == _MAX_HALVINGS or 0.5 * dt < _DT_MIN:
-                    rec.dt = dt
-                    exc.records = records + [rec]
-                    raise
-                dt *= 0.5
-        rec.dt = dt
-        records.append(rec)
 
-        new_big = advect_big_lambda(state.big_lam, u, divu, vals.lam, dt)
-        state = SimState(
-            t=state.t + dt, rho=new_rho, u=u, big_lam=new_big,
-            step_count=state.step_count + 1,
-        )
-        vals = evaluate_laws(state.rho.data, params)
+            cap = stable_dt(u, grid, config.cfl)
+            dt = min(dt, cap)
+            new_rho = None
+            for attempt in range(_MAX_HALVINGS + 1):
+                try:
+                    new_rho = advect_density(state.rho, u, dt, params)
+                    _check_gap(state.rho, new_rho, params)
+                    break
+                except CongestionOverflow:
+                    if attempt == _MAX_HALVINGS or 0.5 * dt < _DT_MIN:
+                        block.set_dt(dt, records)
+                        raise
+                    dt *= 0.5
+            block.set_dt(dt, records)
+            if block.full:
+                block.flush(records)
+
+            new_big = advect_big_lambda(state.big_lam, u, divu, vals.lam, dt)
+            state = SimState(
+                t=state.t + dt, rho=new_rho, u=u, big_lam=new_big,
+                step_count=state.step_count + 1,
+            )
+            vals = evaluate_laws(state.rho.data, params)
+        block.flush(records)
+    except Exception as exc:
+        # an earlier step's failed record, raised by this flush, comes first
+        block.flush(records)
+        if isinstance(exc, (SolverDiverged, CongestionOverflow)):
+            exc.records = records
+        raise
 
     return state, records
 
@@ -401,11 +419,12 @@ def _fmt(x):
 
 
 def write_diagnostics_csv(path, records):
+    """The records as CSV, byte for byte what ``csv.writer`` writes with
+    ``_fmt`` values: ``"%.17g"`` formats an int as ``_fmt`` does."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_COLUMNS)
-        for rec in records:
-            w.writerow([_fmt(v) for v in rec.csv_values()])
+        fh.write(",".join(CSV_COLUMNS) + "\r\n")
+        fh.writelines(",".join(["%.17g" % v for v in rec.csv_values()]) + "\r\n"
+                      for rec in records)
 
 
 # -- sweeps ---------------------------------------------------------------------

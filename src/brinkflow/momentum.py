@@ -36,7 +36,8 @@ the zero-mean part of the effective viscous flux F = (2*mu+lam) div u - p
 directly from force and drag: -Delta_h S = div(f - r*u), so F = mean(F) + S
 holds exactly at the discrete level.  In 2D it is that FFT solve.  In 1D
 no solve is needed: grad S = r*u - f up to a constant, so S is the
-zero-mean prefix sum of dx*(r*u - f - mean(r*u - f)).
+zero-mean prefix sum of dx*(r*u - f - mean(r*u - f)).  ``compute_S`` also
+takes a block of K velocities, which the time loop's diagnostics pass.
 
 The solves take and return ``FaceVectorField.components`` as it is, and
 ``linearised_bulk`` adds the linearised pressure's dt*rho*p'(rho) to lam.
@@ -271,9 +272,11 @@ def _cyclic_tridiagonal_solver(coef, r, dx):
     Numerical Recipes 2.7, A = T + g w w^T with g = -A[0,0] and
     w = (1, 0, ..., 0, A[n-1,0]/g), so T is tridiagonal and SPD (g < 0), and
     A^{-1} b = y - (w.y)/(1 + w.z) z with T y = b, T z = g w.  T = L D L^T
-    is eliminated without pivoting, and the forward sweep of T z = g w runs
-    inside the factorization loop.  The sweeps run on Python floats, which is
-    faster than numpy for this sequential recurrence.
+    is eliminated without pivoting.  The first solve runs the elimination
+    and the forward sweeps of T z = g w and T y = b in one loop, then both
+    backward sweeps in another; a later (refinement) solve reuses D, L and
+    z.  The sweeps run on Python floats, which is faster than numpy for
+    this sequential recurrence.
     """
     n = coef.size
     dx2 = dx * dx
@@ -283,41 +286,54 @@ def _cyclic_tridiagonal_solver(coef, r, dx):
     g = -diag[0]
     diag[0] -= g
     diag[n - 1] -= corner * corner / g
+    w_last = corner / g
 
-    # T = L D L^T: d holds D, lo the unit subdiagonal of L; zf becomes
-    # L^{-1} g w, with g w = (g, 0, ..., 0, corner)
+    # T = L D L^T: d holds D, lo the unit subdiagonal of L; z = T^{-1} g w,
+    # with g w = (g, 0, ..., 0, corner).  The first solve fills all three.
     d = [0.0] * n
     lo = [0.0] * n
-    zf = [0.0] * n
-    zf[n - 1] = corner
-    d_i = d[0] = diag[0]
-    z_i = zf[0] = g
-    for i in range(1, n):
-        o = off[i - 1]
-        l_i = lo[i - 1] = o / d_i
-        d_i = d[i] = diag[i] - l_i * o
-        z_i = zf[i] = zf[i] - l_i * z_i
+    z = [0.0] * n
+    z[n - 1] = corner
+    z_scale = None   # 1 + w.z, set by the first solve
 
-    def back_substitute(y):
-        """Overwrite the list y = L^{-1} rhs with T^{-1} rhs; returns an array."""
-        y_i = y[n - 1] = y[n - 1] / d[n - 1]
+    def factor_and_solve(y):
+        """Factor T and overwrite the list y = rhs with T^{-1} rhs."""
+        d_i = d[0] = diag[0]
+        z_i = z[0] = g
+        y_i = y[0]
+        for i in range(1, n):
+            o = off[i - 1]
+            l_i = lo[i - 1] = o / d_i
+            d_i = d[i] = diag[i] - l_i * o
+            z_i = z[i] = z[i] - l_i * z_i
+            y_i = y[i] = y[i] - l_i * y_i
+        z_i = z[n - 1] = z_i / d_i
+        y_i = y[n - 1] = y_i / d_i
         for i in range(n - 2, -1, -1):
-            y_i = y[i] = y[i] / d[i] - lo[i] * y_i
-        return np.array(y)
+            d_i = d[i]
+            l_i = lo[i]
+            z_i = z[i] = z[i] / d_i - l_i * z_i
+            y_i = y[i] = y[i] / d_i - l_i * y_i
 
-    def solve_t(rhs):
-        y = rhs.tolist()
+    def solve_t(y):
+        """Overwrite the list y = rhs with T^{-1} rhs, reusing the factors."""
         y_i = y[0]
         for i in range(1, n):
             y_i = y[i] = y[i] - lo[i - 1] * y_i
-        return back_substitute(y)
-
-    z = back_substitute(zf)
-    w_last = corner / g
-    z_scale = 1.0 + z[0] + w_last * z[n - 1]
+        y_i = y[n - 1] = y_i / d[n - 1]
+        for i in range(n - 2, -1, -1):
+            y_i = y[i] = y[i] / d[i] - lo[i] * y_i
 
     def solve(b):
-        y = solve_t(b[0])
+        nonlocal z, z_scale
+        y = b[0].tolist()
+        if z_scale is None:
+            factor_and_solve(y)
+            z_scale = 1.0 + z[0] + w_last * z[n - 1]
+            z = np.array(z)
+        else:
+            solve_t(y)
+        y = np.array(y)
         return (y - ((y[0] + w_last * y[n - 1]) / z_scale) * z)[np.newaxis]
 
     return solve
@@ -355,7 +371,7 @@ def solve_momentum(rho, f, params, u0=None, laws=None, dt=0.0):
     if grid.dim == 2:
         report = replace(report, iterations=sum(rep.iterations for rep in inner))
     _check_converged(report, "momentum solve")
-    return FaceVectorField(grid, x), report
+    return FaceVectorField._trusted(grid, x), report
 
 
 # -- Poisson on the mean-zero subspace ---------------------------------------
@@ -365,13 +381,18 @@ def _apply_neg_laplacian(s, grid):
 
 
 def _compatible_rhs(g):
-    """The cell array g minus its mean; raises CompatibilityError unless
-    |mean(g)| <= 1e-10 * max|g| (solvability of -Delta_h s = g)."""
-    g_max = float(np.abs(g).max())
-    g_mean = float(g.mean())
-    if g_max > 0.0 and abs(g_mean) > 1e-10 * g_max:
+    """The rows of the cell-array block g, ``(K,) + grid.shape``, minus their
+    means; raises CompatibilityError unless |mean| <= 1e-10 * max|g| in
+    every row (solvability of -Delta_h s = g)."""
+    axes = tuple(range(1, g.ndim))
+    g_max = np.abs(g).max(axis=axes, keepdims=True)
+    g_mean = g.mean(axis=axes, keepdims=True)
+    bad = (g_max > 0.0) & (np.abs(g_mean) > 1e-10 * g_max)
+    if bad.any():
+        k = int(np.argmax(bad))
         raise CompatibilityError(
-            f"poisson right-hand side has mean {g_mean:.3e} (max |g| = {g_max:.3e})"
+            f"poisson right-hand side has mean {g_mean.flat[k]:.3e} "
+            f"(max |g| = {g_max.flat[k]:.3e})"
         )
     return g - g_mean
 
@@ -384,8 +405,8 @@ def solve_poisson_zero_mean(g):
     the solve.  Raises SolverDiverged if the residual misses _TOL after
     one refinement step.
     """
-    s, report = _poisson_fft(_compatible_rhs(g.data), g.grid)
-    return ScalarField(g.grid, s), report
+    s, report = _poisson_fft(_compatible_rhs(g.data[np.newaxis])[0], g.grid)
+    return ScalarField._trusted(g.grid, s), report
 
 
 def _poisson_fft(b, grid):
@@ -404,34 +425,61 @@ def _poisson_fft(b, grid):
     return x - x.mean(), report
 
 
+@dataclass(frozen=True)
+class _BlockReport(SolveReport):
+    """Report of ``compute_S`` on a block: ``iterations`` totals ``rows``,
+    the iterations of each row."""
+
+    rows: tuple = ()
+
+
 def compute_S(u, f, params):
     """Zero-mean part of the effective viscous flux.
 
     S solves -Delta_h S = div(f - r*u) with mean(S) = 0, so that
     F = (2*mu + lam) div u - p satisfies F = mean(F) + S exactly (up to the
-    solver tolerance).  In 2D this is ``solve_poisson_zero_mean``.  In 1D,
-    -Delta_h = -div grad and div has the constants as its kernel, so
-    grad S = q with q = r*u - f - mean(r*u - f), and S is the prefix sum
-    cumsum(dx*q) minus its mean.  The compatibility check and the one-apply
-    residual check against _TOL are those of the FFT solve; the prefix sum
-    reports 1 iteration (0 for a zero right-hand side) and raises
-    SolverDiverged if its residual misses _TOL.  Returns (S, SolveReport).
-    """
-    grid = u.grid
-    dx = grid.dx
-    b = _compatible_rhs(div_array(f.components - params.r * u.components, dx))
-    if grid.dim == 2:
-        s, report = _poisson_fft(b, grid)
-        return ScalarField(grid, s), report
+    solver tolerance).  In 2D each S is an FFT solve (that of
+    ``solve_poisson_zero_mean``).  In 1D, -Delta_h = -div grad and div has
+    the constants as its kernel, so grad S = q with
+    q = r*u - f - mean(r*u - f), and S is the prefix sum cumsum(dx*q) minus
+    its mean.  The compatibility check and the one-apply residual check
+    against _TOL are those of the FFT solve; the prefix sum reports 1
+    iteration (0 for a zero right-hand side) and raises SolverDiverged if
+    its residual misses _TOL.
 
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return ScalarField.zeros(grid), SolveReport(0, 0.0, True)
-    q = params.r * u.components[0] - f.components[0]
-    q -= q.mean()
-    s = np.cumsum(dx * q)
-    s -= s.mean()
-    rel = float(np.linalg.norm(b - _apply_neg_laplacian(s, grid))) / b_norm
-    report = SolveReport(1, rel, bool(rel <= _TOL))
-    _check_converged(report, "poisson prefix sum")
-    return ScalarField(grid, s), report
+    ``u`` is a FaceVectorField, giving (S as a ScalarField, SolveReport), or
+    a block of K velocities, an array ``(K, dim) + grid.shape``, giving
+    (S as an array ``(K,) + grid.shape``, report): the report's
+    ``iterations`` totals its ``rows``, one count per velocity.  In 1D the
+    block runs as one set of array operations with the checks made row by
+    row; in 2D it solves row after row.
+    """
+    grid = f.grid
+    rows = u if isinstance(u, np.ndarray) else u.components[np.newaxis]
+    if grid.dim == 2:
+        s = np.empty((len(rows),) + grid.shape)
+        iters, rel = [], []
+        for k, row in enumerate(rows):
+            b = _compatible_rhs(div_array(f.components - params.r * row, grid.dx)[np.newaxis])
+            s[k], report = _poisson_fft(b[0], grid)
+            iters.append(report.iterations)
+            rel.append(report.final_relative_residual)
+    else:
+        b = _compatible_rhs(div_array((f.components[0] - params.r * rows[:, 0],), grid.dx))
+        q = params.r * rows[:, 0] - f.components[0]
+        q -= q.mean(axis=1, keepdims=True)
+        s = np.cumsum(grid.dx * q, axis=1)
+        s -= s.mean(axis=1, keepdims=True)
+        b_norm = np.linalg.norm(b, axis=1)
+        solved = b_norm > 0.0
+        s[~solved] = 0.0
+        rel = np.linalg.norm(b - _apply_neg_laplacian(s, grid), axis=1)
+        rel /= np.where(solved, b_norm, 1.0)
+        missed = np.flatnonzero(~(rel <= _TOL))
+        if missed.size:
+            _check_converged(SolveReport(1, float(rel[missed[0]]), False), "poisson prefix sum")
+        iters = solved.astype(int).tolist()
+        rel = rel.tolist()
+    if not isinstance(u, np.ndarray):
+        return ScalarField._trusted(grid, s[0]), SolveReport(iters[0], rel[0], True)
+    return s, _BlockReport(sum(iters), max(rel), True, tuple(iters))

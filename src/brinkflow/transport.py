@@ -74,14 +74,16 @@ def advect_density(rho, u, dt, params):
     """One conservative upwind step; returns the new density field.
 
     Raises CongestionOverflow (without committing anything) if delta = 0 and
-    the update would reach rho >= 1 anywhere.
+    the update would reach rho >= 1 anywhere.  The new field is not checked
+    for finiteness: the time loop's ``evaluate_laws`` checks each density it
+    commits.
     """
     new = rho.data - dt * _flux_divergence(rho.data, u)
     if params.delta == 0.0:
         m = float(np.max(new))
         if m >= 1.0:
             raise CongestionOverflow(m)
-    return ScalarField(rho.grid, new)
+    return ScalarField._trusted(rho.grid, new)
 
 
 def advect_big_lambda(big_lam, u, divu, lam, dt):

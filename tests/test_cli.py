@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from brinkflow import SWEEP_METRICS, SweepRow, SweepTable
-from brinkflow import LawParams, RunConfig
+from brinkflow import LawParams, RunConfig, load_config
 from brinkflow.cli import build_parser, main
 from brinkflow.cli import _params_from_table
 
@@ -24,6 +24,18 @@ gamma = 2.0
 beta = 3.0
 scenario = equilibrium
 scenario.rho0 = 0.3
+"""
+
+FORCED_CFG = """
+dim = 1
+n = 32
+t_end = 0.2
+epsilon = 1e-2
+gamma = 2.0
+beta = 3.0
+scenario = compression
+scenario.f0 = 50.0
+snapshot_every = 0.02
 """
 
 OVERFLOW_CFG = """
@@ -126,6 +138,24 @@ def test_simulate_solver_stall_exit_code(tmp_path, stall_momentum):
     # the record of the one completed step lands on disk
     lines = (tmp_path / "out" / "diagnostics.csv").read_text().splitlines()
     assert len(lines) == 2 and lines[1].startswith("0,")
+
+
+def test_simulate_diagnostics_failure_keeps_earlier_rows(tmp_path, fail_diagnostics):
+    # a flux solve failing at step 5 ends the run with exit 3, the five
+    # earlier rows on disk and no snapshot of a later step
+    cfg = write_cfg(tmp_path, FORCED_CFG)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    fail_diagnostics(load_config(cfg), 5)
+    out = tmp_path / "failed"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    lines = (out / "diagnostics.csv").read_text().splitlines()
+    assert len(lines) == 6 and lines[-1].startswith("4,")
+
+    def snapshot_steps(d):
+        return sorted(int(p.name[4:10]) for p in (d / "snapshots").glob("*_rho.txt"))
+
+    assert max(snapshot_steps(tmp_path / "ok")) > 5
+    assert snapshot_steps(out) and max(snapshot_steps(out)) < 5
 
 
 def test_simulate_congestion_overflow_exit_code(tmp_path, capsys):

@@ -1,14 +1,18 @@
 """Diagnostics tests: effective flux residuals, congestion reports, the
 Poincare constant, and the energy ledger arithmetic."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+import brinkflow.diagnostics
 from brinkflow import (
     CSV_COLUMNS,
     DiagnosticsRecord,
     FaceVectorField,
     LawParams,
+    RunConfig,
     ScalarField,
     SimState,
     build_record,
@@ -18,6 +22,7 @@ from brinkflow import (
     evaluate_laws,
     make_grid,
     poincare_constant,
+    run_simulation,
     solve_momentum,
 )
 from brinkflow.grid import cell_coords, div_array, face_coords
@@ -222,3 +227,42 @@ def test_build_record_basic_quantities(rng):
     assert len(vals_list) == 20
     assert vals_list[0] == 7 and vals_list[2] == 0.01
     assert S.data.shape == g.shape
+
+
+# -- records built in blocks ------------------------------------------------------
+
+_EXTRAS = ("sum_divu2", "sum_curl2", "f_l2sq", "big_lam_pde_l1", "big_lam_drift_l1",
+           "momentum_iters", "poisson_iters")
+
+
+def _records_digest(records):
+    digest = hashlib.sha256()
+    for rec in records:
+        row = rec.csv_values() + [getattr(rec, name) for name in _EXTRAS]
+        digest.update(np.array(row, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(dim=1, n=64, t_end=0.4, epsilon=1e-2, gamma=2.0, beta=3.0,
+              scenario="compression", scenario_params={"rho0": 0.6, "f0": 100.0}),
+    # the truncated laws, and a congested set that forms (max rho 1.8)
+    RunConfig(dim=1, n=128, t_end=0.05, epsilon=1e-2, gamma=2.0, beta=3.0, delta=0.05,
+              scenario="spike", scenario_params={"rho0": 0.6, "amp": 4000.0, "width": 0.008}),
+    # 256 cells: the default block holds 16 steps
+    RunConfig(dim=2, n=16, t_end=0.2, epsilon=1e-2, gamma=2.0, beta=3.0,
+              scenario="rotation_squeeze",
+              scenario_params={"rho0": 0.6, "f0": 100.0, "rot": 20.0}),
+], ids=["1d_compression", "1d_spike_delta", "2d_rotation_squeeze"])
+def test_records_do_not_depend_on_block_size(cfg, monkeypatch):
+    # the time loop builds its records K steps at a time; one step per
+    # block, the default block and one block for the whole run give the
+    # same records bit for bit
+    _, records = run_simulation(cfg)
+    cells = cfg.n**cfg.dim
+    assert len(records) > brinkflow.diagnostics._BLOCK_CELLS // cells
+    digests = {_records_digest(records)}
+    for budget in (1, cells * (len(records) + 1)):
+        monkeypatch.setattr(brinkflow.diagnostics, "_BLOCK_CELLS", budget)
+        digests.add(_records_digest(run_simulation(cfg)[1]))
+    assert len(digests) == 1

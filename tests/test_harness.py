@@ -360,6 +360,46 @@ def test_solver_stall_attaches_records(stall_momentum):
     assert all(r.dt > 0.0 for r in records)
 
 
+FORCED_TEXT = """
+dim = 1
+n = 32
+t_end = 0.2
+epsilon = 1e-2
+gamma = 2.0
+beta = 3.0
+scenario = compression
+scenario.f0 = 50.0
+"""
+
+
+@pytest.mark.parametrize("block_cells", [1, 3 * 32, 4096], ids=["K1", "K3", "K128"])
+def test_diagnostics_failure_attaches_earlier_records(block_cells, fail_diagnostics,
+                                                      monkeypatch):
+    # records are built in blocks of K steps; a failing flux solve at step 5
+    # still yields exactly the records of steps 0-4, found by redoing the
+    # block one step at a time
+    monkeypatch.setattr(brinkflow.diagnostics, "_BLOCK_CELLS", block_cells)
+    cfg = parse_config(FORCED_TEXT)
+    reference = fail_diagnostics(cfg, 5)
+    assert len(reference) > 8
+    with pytest.raises(SolverDiverged, match="forced flux stall") as exc_info:
+        run_simulation(cfg)
+    records = exc_info.value.records
+    assert [r.csv_values() for r in records] == [r.csv_values() for r in reference[:5]]
+
+
+def test_earlier_diagnostics_failure_wins_over_later_stall(fail_diagnostics,
+                                                           stall_momentum):
+    # both failures sit in one pending block: the earlier step's comes first,
+    # as it would were each record built in its own step
+    cfg = parse_config(FORCED_TEXT)
+    fail_diagnostics(cfg, 3)
+    stall_momentum(6)
+    with pytest.raises(SolverDiverged, match="forced flux stall") as exc_info:
+        run_simulation(cfg)
+    assert [r.step for r in exc_info.value.records] == [0, 1, 2]
+
+
 # -- linearly implicit pressure ----------------------------------------------------
 
 def _stiff_compression(epsilon):

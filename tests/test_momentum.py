@@ -283,6 +283,9 @@ def test_cyclic_solver_equals_reference_loops(n, rng):
     x = solve(b[None, :])
     assert x.shape == (1, n)
     assert np.array_equal(x[0], _reference_cyclic_solve(coef, PARAMS.r, dx, b))
+    # a second (refinement) solve reuses the factors of the first
+    b2 = rng.standard_normal(n)
+    assert np.array_equal(solve(b2[None, :])[0], _reference_cyclic_solve(coef, PARAMS.r, dx, b2))
 
 
 # -- direct solves against dense references -------------------------------------
