@@ -27,20 +27,21 @@ Everything else (L1_lambda, dissipation and so the energy ledger) uses the
 physical coefficient 2*mu + lam.
 
 The time loop builds its records K steps at a time.  A ``RecordBlock``
-buffers the arrays each step already holds and, when flushed, computes each
-column for all its steps with one numpy call, reducing along the grid axes,
-and S with one ``compute_S`` call.  numpy's row-wise sums, means, maxima and
-cumulative sums equal the 1D ones bit for bit, so a record does not depend
-on K.  ``build_record`` is a one-step block; ``effective_flux_report`` and
-``congestion_report`` are one-row calls of the block's two helpers, one for
-the flux quantities (``_flux_rows``) and one for the congested set above a
-threshold (``_congested_rows``: its measure, max |div u| and the
-rho*p = (beta-1)*big_lam residual on it, and the exclusion sums).
+copies each step's arrays into its own store and, when flushed, computes
+each column for all its steps with one numpy call, reducing along the grid
+axes, and S with one ``compute_S`` call.  numpy's row-wise sums, means,
+maxima and cumulative sums equal the 1D ones bit for bit, so a record does
+not depend on K.  ``build_record`` is a one-step block;
+``effective_flux_report`` and ``congestion_report`` are one-row calls of the
+block's two helpers, one for the flux quantities (``_flux_rows``) and one
+for the congested set {rho >= CONGESTION_THETA} (``_congested_rows``: its
+measure, max |div u| and the rho*p = (beta-1)*big_lam residual on it, and
+the exclusion sums).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -111,21 +112,18 @@ class DiagnosticsRecord:
 
 # The time loop's records are built K steps at a time, K = max(1,
 # _BLOCK_CELLS // cells): a ``RecordBlock`` then buffers at most
-# _BLOCK_CELLS floats (32 kB) per field, about 0.3 MB in all.
+# _BLOCK_CELLS floats (32 kB) per field, 9 + dim fields, about 0.35 MB.
 _BLOCK_CELLS = 4096
 
-# the law values a record uses: all but nu
-_RECORD_LAWS = ("p", "lam", "big_lam", "h", "dp")
 
-
-def _law_rows(arrays):
-    """The LawValues of a block from its ``_RECORD_LAWS`` arrays; nu is None."""
-    return LawValues(nu=None, **dict(zip(_RECORD_LAWS, arrays)))
+def _law_arrays(vals):
+    """The fields of the LawValues ``vals``, in field order."""
+    return [getattr(vals, field.name) for field in fields(LawValues)]
 
 
 def _one_row(vals):
     """``vals`` as a block of one row: each field gains a leading axis."""
-    return _law_rows(getattr(vals, name)[np.newaxis] for name in _RECORD_LAWS)
+    return LawValues(*(a[np.newaxis] for a in _law_arrays(vals)))
 
 
 def _flux_rows(rho, u, f, vals, params, divu, solve_dt):
@@ -175,10 +173,10 @@ class CongestionReport:
     excl_big_lam: float
 
 
-def _congested_rows(rho, divu, vals, params, theta, vol):
+def _congested_rows(rho, divu, vals, params, vol):
     """The ``CongestionReport`` fields of each row, as arrays, in field order."""
     axes = tuple(range(1, rho.ndim))
-    mask = rho >= theta
+    mask = rho >= CONGESTION_THETA
     if mask.any():
         # the masked values are >= 0, so 0 stands for an empty set
         mp = np.where(mask, np.abs(rho * vals.p - (params.beta - 1.0) * vals.big_lam),
@@ -193,10 +191,11 @@ def _congested_rows(rho, divu, vals, params, theta, vol):
     return measure, mdv, mp, excl_p, excl_bl
 
 
-def congestion_report(rho, u, params, theta=CONGESTION_THETA):
-    """Congested-set diagnostics above the density threshold theta.
+def congestion_report(rho, u, params):
+    """Congested-set diagnostics: the set is {rho >= CONGESTION_THETA}, the
+    threshold of the meas_099 column.
 
-    measure        : cells with rho >= theta, times cell volume
+    measure        : cells in the set, times cell volume
     max_divu       : max |div u| over that set (0 if empty)
     mp_residual    : max |rho*p - (beta-1)*big_lam| over that set (0 if empty);
                      an exact identity whenever beta = gamma + 1
@@ -205,7 +204,7 @@ def congestion_report(rho, u, params, theta=CONGESTION_THETA):
     """
     divu = div_array(u.components, rho.grid.dx)
     rows = _congested_rows(rho.data[np.newaxis], divu[np.newaxis],
-                           _one_row(evaluate_laws(rho.data, params)), params, theta,
+                           _one_row(evaluate_laws(rho.data, params)), params,
                            rho.grid.cell_volume)
     return CongestionReport(*(float(col[0]) for col in rows))
 
@@ -214,22 +213,20 @@ class RecordBlock:
     """The diagnostics inputs of up to K time steps, made into records at once.
 
     ``add`` copies one step's arrays (rho, u, the transported big_lam, div u
-    and the law values) into preallocated ``(K,) + grid.shape`` buffers,
-    K = max(1, _BLOCK_CELLS // cells) unless ``capacity`` is given.  With
-    K = 1 it keeps views of them instead: the time loop never writes into
-    the arrays of a state it has built.
+    and every field of its LawValues) into preallocated ``(K,) + grid.shape``
+    buffers, K = max(1, _BLOCK_CELLS // cells), so the block owns what it
+    buffers and a later write into a step's arrays does not change its
+    record.
     """
 
-    def __init__(self, grid, f, params, capacity=None):
+    def __init__(self, grid, f, params):
         self.grid, self.f, self.params = grid, f, params
-        self.capacity = capacity or max(1, _BLOCK_CELLS // grid.n**grid.dim)
+        self.capacity = max(1, _BLOCK_CELLS // grid.n**grid.dim)
         self.size = 0
-        self._arrays = None   # with K = 1, ``add`` sets views
-        if self.capacity > 1:
-            # rho, big_lam, divu, the law values, then u, in one allocation
-            count = 3 + len(_RECORD_LAWS)
-            store = np.empty((count + grid.dim, self.capacity) + grid.shape)
-            self._arrays = [*store[:count], np.moveaxis(store[count:], 0, 1)]
+        # rho, big_lam, divu, the law values, then u, in one allocation
+        count = 3 + len(fields(LawValues))
+        store = np.empty((count + grid.dim, self.capacity) + grid.shape)
+        self._arrays = [*store[:count], np.moveaxis(store[count:], 0, 1)]
         # step, t, dt, momentum_iters, solve_dt of each buffered step
         self._scalars = ([], [], [], [], [])
         self._f_l2sq = sum(float((fc * fc).sum()) for fc in f.components) * grid.cell_volume
@@ -241,13 +238,10 @@ class RecordBlock:
     def add(self, state, vals, divu, step, momentum_iters, solve_dt, dt=0.0):
         """Buffer one step: its state, ``vals = evaluate_laws(state.rho.data,
         params)`` and ``divu = div_array(state.u.components, dx)``."""
-        arrays = (state.rho.data, state.big_lam.data, divu,
-                  *(getattr(vals, name) for name in _RECORD_LAWS), state.u.components)
-        if self.capacity == 1:
-            self._arrays = [a[np.newaxis] for a in arrays]
-        else:
-            for buf, a in zip(self._arrays, arrays):
-                buf[self.size] = a
+        arrays = (state.rho.data, state.big_lam.data, divu, *_law_arrays(vals),
+                  state.u.components)
+        for buf, a in zip(self._arrays, arrays):
+            buf[self.size] = a
         for col, value in zip(self._scalars, (step, state.t, dt, momentum_iters, solve_dt)):
             col.append(value)
         self.size += 1
@@ -282,8 +276,6 @@ class RecordBlock:
         finally:
             for col in self._scalars:
                 col.clear()
-            if self.capacity == 1:
-                self._arrays = None   # let the step's arrays go
 
     def _records(self, start, stop):
         """(records, S) of the buffered steps start..stop-1."""
@@ -291,7 +283,7 @@ class RecordBlock:
         vol = grid.cell_volume
         axes = tuple(range(1, grid.dim + 1))
         rho, big_lam, divu, *law_arrays, u = (a[start:stop] for a in self._arrays)
-        vals = _law_rows(law_arrays)
+        vals = LawValues(*law_arrays)
         step, t, dt, momentum_iters, solve_dt = (col[start:stop] for col in self._scalars)
         rows = stop - start
 
@@ -300,7 +292,7 @@ class RecordBlock:
             np.reshape(solve_dt, (rows,) + (1,) * grid.dim),
         )[1:]
         meas_099, max_divu, mp, excl_p, excl_bl = _congested_rows(
-            rho, divu, vals, params, CONGESTION_THETA, vol)
+            rho, divu, vals, params, vol)
 
         if grid.dim == 2:
             w = curl_array((u[:, 0], u[:, 1]), grid.dx)
@@ -338,26 +330,20 @@ class RecordBlock:
         return [DiagnosticsRecord(*values) for values in zip(*columns)], S
 
 
-def build_record(state, f, params, step=0, dt=0.0, momentum_iters=0, laws=None,
-                 solve_dt=0.0, divu=None):
+def build_record(state, f, params, step=0, dt=0.0, momentum_iters=0, solve_dt=0.0):
     """Assemble the full diagnostics record for the current state.
 
-    ``laws`` optionally passes ``evaluate_laws(state.rho.data, params)``
-    and ``divu`` the cell array ``div_array(state.u.components, dx)``
-    when the caller already holds them; the record is the same either way.
     ``solve_dt`` is the dt at which the momentum solve linearised the
     pressure (0 for the exact semi-stationary solve): flux_residual and
-    mean_relation_residual check the identity of that solve.  This is a
-    one-step ``RecordBlock``.
+    mean_relation_residual check the identity of that solve.  This is the
+    first row of a ``RecordBlock``.
     Returns (record, S), S being the zero-mean flux part from ``compute_S``.
     """
     grid = state.rho.grid
-    vals = laws if laws is not None else evaluate_laws(state.rho.data, params)
-    if divu is None:
-        divu = div_array(state.u.components, grid.dx)
-    block = RecordBlock(grid, f, params, capacity=1)
-    block.add(state, vals, divu, step=step, momentum_iters=momentum_iters,
-              solve_dt=solve_dt, dt=dt)
+    block = RecordBlock(grid, f, params)
+    block.add(state, evaluate_laws(state.rho.data, params),
+              div_array(state.u.components, grid.dx), step=step,
+              momentum_iters=momentum_iters, solve_dt=solve_dt, dt=dt)
     (rec,), S = block._records(0, 1)
     return rec, ScalarField._trusted(grid, S[0])
 

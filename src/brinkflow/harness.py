@@ -677,7 +677,7 @@ def classify_limit(table, params):
         try:
             return fit_rate(table, metric, drop_nonpositive=True).slope
         except FitDegenerate:
-            return None
+            return math.nan   # compares False against every threshold
 
     s_p = slope_of("L1_p")
     s_lam = slope_of("L1_big_lam")
@@ -686,25 +686,21 @@ def classify_limit(table, params):
     mp_max = max(r.metrics["max_mp_residual"] for r in ok)
 
     evidence = {
-        "slope_L1_p": s_p if s_p is not None else math.nan,
-        "slope_L1_big_lam": s_lam if s_lam is not None else math.nan,
-        "slope_excl_p": s_excl_p if s_excl_p is not None else math.nan,
-        "slope_excl_big_lam": s_excl_lam if s_excl_lam is not None else math.nan,
+        "slope_L1_p": s_p,
+        "slope_L1_big_lam": s_lam,
+        "slope_excl_p": s_excl_p,
+        "slope_excl_big_lam": s_excl_lam,
         "mp_residual_max": mp_max,
         "decay_threshold": _DECAY_SLOPE,
         "flat_threshold": _FLAT_SLOPE,
     }
 
     observed = None
-    if (s_lam is not None and s_p is not None
-            and s_lam >= _DECAY_SLOPE and s_p < _FLAT_SLOPE):
+    if s_lam >= _DECAY_SLOPE and s_p < _FLAT_SLOPE:
         observed = RegimeTag.PRESSURE_NO_MEMORY
-    elif (s_p is not None and s_lam is not None
-            and s_p >= _DECAY_SLOPE and s_lam < _FLAT_SLOPE):
+    elif s_p >= _DECAY_SLOPE and s_lam < _FLAT_SLOPE:
         observed = RegimeTag.MEMORY_NO_PRESSURE
-    elif (mp_max <= _MP_TOL
-            and s_excl_p is not None and s_excl_p >= _DECAY_SLOPE
-            and s_excl_lam is not None and s_excl_lam >= _DECAY_SLOPE):
+    elif mp_max <= _MP_TOL and s_excl_p >= _DECAY_SLOPE and s_excl_lam >= _DECAY_SLOPE:
         observed = RegimeTag.MEMORY_AND_PRESSURE
     if observed is None:
         raise Unclassifiable(

@@ -127,13 +127,15 @@ def _check_density(rho, params):
 
 def _exact_laws(rho, eps, gamma, beta):
     """(p, lam, big_lam, h, dp) of the exact singular laws, elementwise."""
-    q = rho / (1.0 - rho)
+    gap = 1.0 - rho
+    q = rho / gap
+    q_h = q ** (gamma - 1.0)   # shared by h and dp
     return (
         eps * q**gamma,
         eps * q**beta,
         (eps / (beta - 1.0)) * rho * q ** (beta - 1.0),
-        (eps / (gamma - 1.0)) * rho * q ** (gamma - 1.0),
-        eps * gamma * q ** (gamma - 1.0) / (1.0 - rho) ** 2,
+        (eps / (gamma - 1.0)) * rho * q_h,
+        eps * gamma * q_h / gap**2,
     )
 
 

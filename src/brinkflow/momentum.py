@@ -130,7 +130,7 @@ def _direct(apply_op, solve, b, x0, tol):
     by solving A d = b - A x0, so the round-off of the solve scales with
     that residual rather than with b.  The residual is measured with one application of
     ``apply_op``; when it misses ``tol``, one step of iterative refinement
-    reuses the factorization.  The report is unconverged if the residual
+    solves for the residual.  The report is unconverged if the residual
     still misses ``tol`` or is not finite.
     """
     b_norm = float(np.linalg.norm(b))
@@ -264,7 +264,7 @@ def _flux_reduced_solver(coef, mu, r, grid, inner_reports):
 
 
 def _cyclic_tridiagonal_solver(coef, r, dx):
-    """Factor the 1D momentum operator; returns a solve for A x = b.
+    """The 1D momentum operator's cyclic tridiagonal solve for A x = b.
 
     Face i couples to faces i+1 and i-1 through the cells on either side:
     A[i,i] = (c_i + c_{i-1})/dx^2 + r and A[i,i+1] = A[i+1,i] = -c_i/dx^2,
@@ -272,11 +272,12 @@ def _cyclic_tridiagonal_solver(coef, r, dx):
     Numerical Recipes 2.7, A = T + g w w^T with g = -A[0,0] and
     w = (1, 0, ..., 0, A[n-1,0]/g), so T is tridiagonal and SPD (g < 0), and
     A^{-1} b = y - (w.y)/(1 + w.z) z with T y = b, T z = g w.  T = L D L^T
-    is eliminated without pivoting.  The first solve runs the elimination
-    and the forward sweeps of T z = g w and T y = b in one loop, then both
-    backward sweeps in another; a later (refinement) solve reuses D, L and
-    z.  The sweeps run on Python floats, which is faster than numpy for
-    this sequential recurrence.
+    is eliminated without pivoting.  Every solve runs the elimination and
+    the forward sweeps of T z = g w and T y = b in one loop, then both
+    backward sweeps in another; the factors are deterministic, so a
+    (refinement) solve that factors again gets the same ones.  The sweeps
+    run on Python floats, which is faster than numpy for this sequential
+    recurrence.
     """
     n = coef.size
     dx2 = dx * dx
@@ -288,16 +289,14 @@ def _cyclic_tridiagonal_solver(coef, r, dx):
     diag[n - 1] -= corner * corner / g
     w_last = corner / g
 
-    # T = L D L^T: d holds D, lo the unit subdiagonal of L; z = T^{-1} g w,
-    # with g w = (g, 0, ..., 0, corner).  The first solve fills all three.
-    d = [0.0] * n
-    lo = [0.0] * n
-    z = [0.0] * n
-    z[n - 1] = corner
-    z_scale = None   # 1 + w.z, set by the first solve
-
-    def factor_and_solve(y):
-        """Factor T and overwrite the list y = rhs with T^{-1} rhs."""
+    def solve(b):
+        # T = L D L^T: d holds D, lo the unit subdiagonal of L; z = T^{-1} g w,
+        # with g w = (g, 0, ..., 0, corner), and y = T^{-1} b
+        d = [0.0] * n
+        lo = [0.0] * n
+        z = [0.0] * n
+        z[n - 1] = corner
+        y = b[0].tolist()
         d_i = d[0] = diag[0]
         z_i = z[0] = g
         y_i = y[0]
@@ -314,27 +313,9 @@ def _cyclic_tridiagonal_solver(coef, r, dx):
             l_i = lo[i]
             z_i = z[i] = z[i] / d_i - l_i * z_i
             y_i = y[i] = y[i] / d_i - l_i * y_i
-
-    def solve_t(y):
-        """Overwrite the list y = rhs with T^{-1} rhs, reusing the factors."""
-        y_i = y[0]
-        for i in range(1, n):
-            y_i = y[i] = y[i] - lo[i - 1] * y_i
-        y_i = y[n - 1] = y_i / d[n - 1]
-        for i in range(n - 2, -1, -1):
-            y_i = y[i] = y[i] / d[i] - lo[i] * y_i
-
-    def solve(b):
-        nonlocal z, z_scale
-        y = b[0].tolist()
-        if z_scale is None:
-            factor_and_solve(y)
-            z_scale = 1.0 + z[0] + w_last * z[n - 1]
-            z = np.array(z)
-        else:
-            solve_t(y)
+        z_scale = 1.0 + z[0] + w_last * z[n - 1]
         y = np.array(y)
-        return (y - ((y[0] + w_last * y[n - 1]) / z_scale) * z)[np.newaxis]
+        return (y - ((y[0] + w_last * y[n - 1]) / z_scale) * np.array(z))[np.newaxis]
 
     return solve
 

@@ -131,11 +131,6 @@ def test_precomputed_laws_give_identical_results(dim, rng):
     assert rep == rep_pre
     for a, b in zip(u.components, u_pre.components):
         assert np.array_equal(a, b)
-    state = SimState(t=0.1, rho=rho, u=u, big_lam=ScalarField(g, 0.9 * vals.big_lam))
-    rec, S = build_record(state, f, PARAMS, step=3, dt=0.01)
-    rec_pre, S_pre = build_record(state, f, PARAMS, step=3, dt=0.01, laws=vals)
-    assert rec == rec_pre
-    assert np.array_equal(S.data, S_pre.data)
 
 
 def test_mp_identity_requires_beta_gamma_plus_one():
@@ -230,6 +225,35 @@ def test_build_record_basic_quantities(rng):
 
 
 # -- records built in blocks ------------------------------------------------------
+
+@pytest.mark.parametrize("one_step", [True, False], ids=["K1", "default_K"])
+def test_record_block_owns_its_data(one_step, rng, monkeypatch):
+    # the block copies what ``add`` hands it: overwriting a step's arrays
+    # before the flush leaves that step's record as it was
+    g = make_grid(1, 64)
+    if one_step:
+        monkeypatch.setattr(brinkflow.diagnostics, "_BLOCK_CELLS", g.n**g.dim)
+    rho = ScalarField(g, smooth_field(g, rng, 0.3, 0.98))
+    f = FaceVectorField(g, (rng.normal(size=g.shape),))
+    u, rep = solve_momentum(rho, f, PARAMS)
+    big_lam = ScalarField(g, 0.9 * evaluate_laws(rho.data, PARAMS).big_lam)
+    state = SimState(t=0.1, rho=rho, u=u, big_lam=big_lam)
+    untouched = SimState(t=0.1, rho=ScalarField(g, rho.data.copy()),
+                         u=FaceVectorField(g, (u.components[0].copy(),)),
+                         big_lam=ScalarField(g, big_lam.data.copy()))
+    expected, _ = build_record(untouched, f, PARAMS, step=3, dt=0.01,
+                               momentum_iters=rep.iterations)
+
+    block = brinkflow.diagnostics.RecordBlock(g, f, PARAMS)
+    assert (block.capacity == 1) == one_step
+    block.add(state, evaluate_laws(rho.data, PARAMS), div_array(u.components, g.dx),
+              step=3, momentum_iters=rep.iterations, solve_dt=0.0, dt=0.01)
+    for a in (rho.data, big_lam.data, *u.components):
+        a[...] = 0.5
+    records = []
+    block.flush(records)
+    assert records == [expected]
+
 
 _EXTRAS = ("sum_divu2", "sum_curl2", "f_l2sq", "big_lam_pde_l1", "big_lam_drift_l1",
            "momentum_iters", "poisson_iters")

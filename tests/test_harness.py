@@ -619,6 +619,16 @@ def test_classify_unclassifiable():
     assert ev is not None and "slope_L1_p" in ev
 
 
+def test_classify_zero_pressure_is_unclassifiable():
+    # L1_p = 0 in every row leaves no pressure slope: rule 1 asks for a flat
+    # pressure and must not fire on a missing one
+    table = synth_table(EPS4, lambda v: {"L1_big_lam": v**0.7, "L1_p": 0.0,
+                                         "mp_residual": 1.0})
+    with pytest.raises(Unclassifiable) as exc_info:
+        classify_limit(table, _params(3.0, 2.0))
+    assert np.isnan(exc_info.value.evidence["slope_L1_p"])
+
+
 def test_classify_requires_epsilon_axis_and_rows():
     table = synth_table(EPS4, lambda v: {"L1_p": v}, axis="delta")
     with pytest.raises(ConfigError):
