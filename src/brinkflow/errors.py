@@ -17,8 +17,9 @@ class SolverDiverged(BrinkflowError):
     """A linear solve missed its tolerance.
 
     The inner CG of the 2D momentum solve exhausted its iteration budget,
-    or a solve's measured residual stayed above tolerance (or non-finite)
-    after one refinement step.
+    the momentum solve's measured residual stayed above tolerance (or
+    non-finite) after one refinement step, or an S or Poisson solve missed
+    the tolerance.
 
     Carries the final ``SolveReport`` as ``report`` and, when raised from a
     simulation run, the diagnostics records gathered so far as ``records``.

@@ -42,12 +42,12 @@ takes a block of K velocities, which the time loop's diagnostics pass.
 The solves take and return ``FaceVectorField.components`` as it is, and
 ``linearised_bulk`` adds the linearised pressure's dt*rho*p'(rho) to lam.
 
-Every solve targets the fixed relative residual _TOL = 1e-10 and returns a
-``SolveReport``.  A direct solve measures its residual with one application
-of the operator and reports 1 iteration, and so does the 1D prefix sum
-for S; the 2D momentum solve reports the total of its inner CG iterations.
-Both report 0 for a zero right-hand side or a warm start that already
-meets the tolerance.
+Every solve targets the fixed relative residual _TOL = 1e-10, measures it
+with one application of the operator and returns a ``SolveReport`` with 1
+iteration (0 for a zero right-hand side); the 2D momentum solve counts its
+inner CG iterations instead.  Only the momentum solve refines, once, and it
+returns a start u0 that meets _TOL with 0 iterations; the S solves and
+``solve_poisson_zero_mean`` raise SolverDiverged at once.
 """
 
 from __future__ import annotations
@@ -79,8 +79,7 @@ __all__ = [
 ]
 
 
-# relative residual every solve must reach; a direct solve that misses it
-# takes one step of iterative refinement
+# relative residual every solve must reach (only the momentum solve refines)
 _TOL = 1e-10
 
 
@@ -124,11 +123,11 @@ def _cg(apply_op, b, tol, max_iter, precond):
 
 
 def _direct(apply_op, solve, b, x0, tol):
-    """Direct solve of A x = b with the early exits and report of ``_cg``.
+    """Direct solve of A x = b from x0 with the early exits and report of ``_cg``.
 
-    ``solve`` applies a factorization of A.  A warm start x0 is corrected
-    by solving A d = b - A x0, so the round-off of the solve scales with
-    that residual rather than with b.  The residual is measured with one application of
+    ``solve`` applies a factorization of A.  It solves A d = b - A x0 and
+    adds d to x0, so the round-off of the solve scales with that residual
+    rather than with b.  The residual is measured with one application of
     ``apply_op``; when it misses ``tol``, one step of iterative refinement
     solves for the residual.  The report is unconverged if the residual
     still misses ``tol`` or is not finite.
@@ -136,14 +135,11 @@ def _direct(apply_op, solve, b, x0, tol):
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros_like(b), SolveReport(0, 0.0, True)
-    if x0 is None:
-        x = solve(b)
-    else:
-        r0 = b - apply_op(x0)
-        rel = float(np.linalg.norm(r0)) / b_norm
-        if rel <= tol:
-            return x0.copy(), SolveReport(0, rel, True)
-        x = x0 + solve(r0)
+    r0 = b - apply_op(x0)
+    rel = float(np.linalg.norm(r0)) / b_norm
+    if rel <= tol:
+        return x0.copy(), SolveReport(0, rel, True)
+    x = x0 + solve(r0)
     r = b - apply_op(x)
     rel = float(np.linalg.norm(r)) / b_norm
     if not rel <= tol:
@@ -324,11 +320,11 @@ def solve_momentum(rho, f, params, u0=None, laws=None, dt=0.0):
     """Solve A u = f - grad(p(rho)) for the velocity.
 
     rho : ScalarField (density), f : FaceVectorField (force).
-    u0 optionally warm-starts the solve: only its residual is solved for,
-    and it is returned unchanged, with 0 iterations, when it already meets
-    the tolerance.  ``laws`` optionally passes
-    ``evaluate_laws(rho.data, params)`` when the caller already holds it; the
-    solution is the same either way.  ``dt`` linearises the pressure over a
+    The solve starts from u0, or from zero when u0 is None: only the
+    residual of the start is solved for, and u0 is returned unchanged, with
+    0 iterations, when it already meets the tolerance.  ``laws`` optionally
+    passes ``evaluate_laws(rho.data, params)`` when the caller already holds
+    it; the solution is the same either way.  ``dt`` linearises the pressure over a
     step dt, so A has the bulk coefficient 2*mu + linearised_bulk(laws, rho,
     dt); dt = 0, the default, is the exact semi-stationary solve.
     Returns (u, SolveReport); raises SolverDiverged when the tolerance is
@@ -338,7 +334,7 @@ def solve_momentum(rho, f, params, u0=None, laws=None, dt=0.0):
     vals = laws if laws is not None else evaluate_laws(rho.data, params)
     coef = 2.0 * params.mu + linearised_bulk(vals, rho.data, dt)
     b = f.components - grad_array(vals.p, grid.dx, grid.dim)
-    x0 = u0.components if u0 is not None else None
+    x0 = u0.components if u0 is not None else np.zeros_like(b)
 
     def apply_op(v):
         return _apply_momentum(v, coef, params.mu, params.r, grid.dx)
@@ -378,32 +374,43 @@ def _compatible_rhs(g):
     return g - g_mean
 
 
+def _fft_solve(b, grid):
+    """Mean-zero s with -Delta_h s = b for a block b of mean-zero rows,
+    ``(K,) + grid.shape``: one FFT over the grid axes of the whole block."""
+    axes = tuple(range(1, grid.dim + 1))
+    vh = np.fft.rfftn(b, axes=axes) / _fourier_symbols(grid.dim, grid.n, grid.dx).lap
+    vh[(slice(None),) + (0,) * grid.dim] = 0.0
+    s = np.fft.irfftn(vh, s=grid.shape, axes=axes)
+    return s - s.mean(axis=axes, keepdims=True)
+
+
+def _check_rows(s, b, grid, what):
+    """Per-row lists (iterations, relative residuals) of the block solve s of
+    -Delta_h s = b: 1 iteration, or 0 and s = 0 for a zero row of b.  Raises
+    SolverDiverged at the first row whose residual misses _TOL."""
+    b_norm = np.linalg.norm(b.reshape(len(b), -1), axis=1)
+    solved = b_norm > 0.0
+    s[~solved] = 0.0
+    rel = np.linalg.norm((b - _apply_neg_laplacian(s, grid)).reshape(len(b), -1), axis=1)
+    rel /= np.where(solved, b_norm, 1.0)
+    missed = np.flatnonzero(~(rel <= _TOL))
+    if missed.size:
+        _check_converged(SolveReport(1, float(rel[missed[0]]), False), what)
+    return solved.astype(int).tolist(), rel.tolist()
+
+
 def solve_poisson_zero_mean(g):
     """Solve -Delta_h s = g with mean(s) = 0 on the periodic grid, by FFT.
 
     Requires |mean(g)| <= 1e-10 * max|g| (solvability); raises
     CompatibilityError otherwise.  The mean of g is projected out before
-    the solve.  Raises SolverDiverged if the residual misses _TOL after
-    one refinement step.
+    the solve.  The residual is measured once, and a solve that misses
+    _TOL raises SolverDiverged; it reports 1 iteration (0 for g = 0).
     """
-    s, report = _poisson_fft(_compatible_rhs(g.data[np.newaxis])[0], g.grid)
-    return ScalarField._trusted(g.grid, s), report
-
-
-def _poisson_fft(b, grid):
-    """(s, SolveReport) for -Delta_h s = b, b and s mean-zero cell arrays."""
-    axes = tuple(range(grid.dim))
-    zero_mode = (0,) * grid.dim
-    symbol = _fourier_symbols(grid.dim, grid.n, grid.dx).lap
-
-    def solve(v):
-        vh = np.fft.rfftn(v, axes=axes) / symbol
-        vh[zero_mode] = 0.0
-        return np.fft.irfftn(vh, s=grid.shape, axes=axes)
-
-    x, report = _direct(lambda v: _apply_neg_laplacian(v, grid), solve, b, None, _TOL)
-    _check_converged(report, "poisson FFT solve")
-    return x - x.mean(), report
+    b = _compatible_rhs(g.data[np.newaxis])
+    s = _fft_solve(b, g.grid)
+    iters, rel = _check_rows(s, b, g.grid, "poisson FFT solve")
+    return ScalarField._trusted(g.grid, s[0]), SolveReport(iters[0], rel[0], True)
 
 
 @dataclass(frozen=True)
@@ -419,48 +426,33 @@ def compute_S(u, f, params):
 
     S solves -Delta_h S = div(f - r*u) with mean(S) = 0, so that
     F = (2*mu + lam) div u - p satisfies F = mean(F) + S exactly (up to the
-    solver tolerance).  In 2D each S is an FFT solve (that of
-    ``solve_poisson_zero_mean``).  In 1D, -Delta_h = -div grad and div has
+    solver tolerance).  In 2D S is the FFT solve of
+    ``solve_poisson_zero_mean``.  In 1D, -Delta_h = -div grad and div has
     the constants as its kernel, so grad S = q with
     q = r*u - f - mean(r*u - f), and S is the prefix sum cumsum(dx*q) minus
-    its mean.  The compatibility check and the one-apply residual check
-    against _TOL are those of the FFT solve; the prefix sum reports 1
-    iteration (0 for a zero right-hand side) and raises SolverDiverged if
-    its residual misses _TOL.
+    its mean.  Both run the compatibility check and the residual check of
+    ``solve_poisson_zero_mean``: 1 iteration per row (0 and S = 0 for a zero
+    right-hand side), and SolverDiverged for a row that misses _TOL, with
+    no refinement.
 
     ``u`` is a FaceVectorField, giving (S as a ScalarField, SolveReport), or
     a block of K velocities, an array ``(K, dim) + grid.shape``, giving
     (S as an array ``(K,) + grid.shape``, report): the report's
-    ``iterations`` totals its ``rows``, one count per velocity.  In 1D the
-    block runs as one set of array operations with the checks made row by
-    row; in 2D it solves row after row.
+    ``iterations`` totals its ``rows``, one count per velocity.  Either way
+    the whole block runs as one set of array operations.
     """
     grid = f.grid
     rows = u if isinstance(u, np.ndarray) else u.components[np.newaxis]
-    if grid.dim == 2:
-        s = np.empty((len(rows),) + grid.shape)
-        iters, rel = [], []
-        for k, row in enumerate(rows):
-            b = _compatible_rhs(div_array(f.components - params.r * row, grid.dx)[np.newaxis])
-            s[k], report = _poisson_fft(b[0], grid)
-            iters.append(report.iterations)
-            rel.append(report.final_relative_residual)
-    else:
-        b = _compatible_rhs(div_array((f.components[0] - params.r * rows[:, 0],), grid.dx))
+    # components first: div_array differences the trailing grid axes
+    b = _compatible_rhs(div_array(np.moveaxis(f.components - params.r * rows, 1, 0), grid.dx))
+    if grid.dim == 1:
         q = params.r * rows[:, 0] - f.components[0]
         q -= q.mean(axis=1, keepdims=True)
         s = np.cumsum(grid.dx * q, axis=1)
         s -= s.mean(axis=1, keepdims=True)
-        b_norm = np.linalg.norm(b, axis=1)
-        solved = b_norm > 0.0
-        s[~solved] = 0.0
-        rel = np.linalg.norm(b - _apply_neg_laplacian(s, grid), axis=1)
-        rel /= np.where(solved, b_norm, 1.0)
-        missed = np.flatnonzero(~(rel <= _TOL))
-        if missed.size:
-            _check_converged(SolveReport(1, float(rel[missed[0]]), False), "poisson prefix sum")
-        iters = solved.astype(int).tolist()
-        rel = rel.tolist()
+    else:
+        s = _fft_solve(b, grid)
+    iters, rel = _check_rows(s, b, grid, "S solve")
     if not isinstance(u, np.ndarray):
         return ScalarField._trusted(grid, s[0]), SolveReport(iters[0], rel[0], True)
     return s, _BlockReport(sum(iters), max(rel), True, tuple(iters))

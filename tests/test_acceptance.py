@@ -267,10 +267,12 @@ def test_criterion_08a_pressure_no_memory_sweep(sweep_g3b2):
     assert all(r.ok for r in table.rows)
     fit = fit_rate(table, "L1_big_lam")
     assert fit.slope >= 0.517   # (1 + gamma - beta)/gamma - 0.15
+    assert abs(fit.slope - 2.0 / 3.0) <= 0.05
     res = classify_limit(table, LawParams(epsilon=1e-2, delta=0.0,
                                           gamma=3.0, beta=2.0))
     assert res.observed is RegimeTag.PRESSURE_NO_MEMORY and res.agrees
-    print(f"[criterion 8a] PASS: slope(L1_big_lam) = {fit.slope:.3f} >= 0.517, "
+    print(f"[criterion 8a] PASS: slope(L1_big_lam) = {fit.slope:.4f} >= 0.517 and "
+          f"within 0.05 of 2/3, "
           f"classified PressureNoMemory, sweep {elapsed:.0f}s")
 
 
@@ -279,10 +281,12 @@ def test_criterion_08b_memory_no_pressure_sweep(sweep_g15b3):
     assert all(r.ok for r in table.rows)
     fit = fit_rate(table, "L1_p")
     assert fit.slope >= 0.10   # (beta - 1 - gamma)/(beta - 1) - 0.15
+    assert abs(fit.slope - 0.25) <= 0.05
     res = classify_limit(table, LawParams(epsilon=1e-2, delta=0.0,
                                           gamma=1.5, beta=3.0))
     assert res.observed is RegimeTag.MEMORY_NO_PRESSURE and res.agrees
-    print(f"[criterion 8b] PASS: slope(L1_p) = {fit.slope:.3f} >= 0.10, "
+    print(f"[criterion 8b] PASS: slope(L1_p) = {fit.slope:.4f} >= 0.10 and "
+          f"within 0.05 of 1/4, "
           f"classified MemoryNoPressure, sweep {elapsed:.0f}s")
 
 
@@ -294,13 +298,16 @@ def test_criterion_08c_memory_and_pressure_sweep(sweep_g2b3, sweep_g3b2,
     assert mp_max <= 1e-10   # at every step of every run
     excl = [r.metrics["final_excl_big_lam"] for r in table.rows]
     assert all(b < a for a, b in zip(excl, excl[1:]))
+    fit = fit_rate(table, "excl_big_lam")
+    assert abs(fit.slope - 0.5) <= 0.05
     res = classify_limit(table, LawParams(epsilon=1e-2, delta=0.0,
                                           gamma=2.0, beta=3.0))
     assert res.observed is RegimeTag.MEMORY_AND_PRESSURE and res.agrees
     total = elapsed + sweep_g3b2[1] + sweep_g15b3[1]
     assert total < 1800.0
     print(f"[criterion 8c] PASS: max mp residual {mp_max:.2e} <= 1e-10, "
-          f"excl_big_lam strictly decreasing, classified MemoryAndPressure; "
+          f"excl_big_lam strictly decreasing with slope {fit.slope:.4f} within "
+          f"0.05 of 1/2, classified MemoryAndPressure; "
           f"all three sweeps {total:.0f}s < 30min")
 
 

@@ -31,6 +31,7 @@ from brinkflow import (
     Unclassifiable,
     build_scenario,
     classify_limit,
+    compute_S,
     fit_rate,
     load_config,
     parse_config,
@@ -440,6 +441,31 @@ def test_stiff_run_keeps_flux_identity():
         bound = 1e-8 * (1.0 + brinkflow.laws.evaluate_laws(rec.max_rho, params).p)
         assert rec.flux_residual <= bound, rec.step
         assert rec.mean_relation_residual <= bound, rec.step
+
+
+@pytest.mark.parametrize("gamma, beta, eps, f0", [
+    (2.0, 3.0, 1e-2, 600.0), (3.0, 2.0, 1e-4, 200.0), (1.5, 3.0, 1e-3, 200.0),
+])
+def test_2d_path_replays_1d_compression(gamma, beta, eps, f0):
+    # compression is invariant in y, so the 2D solves (flux-reduced CG and
+    # FFT S) must reproduce the 1D run: same steps, u_y = 0, rho constant
+    # along y and equal to the 1D rho to round-off
+    runs = {}
+    for dim in (1, 2):
+        cfg = RunConfig(dim=dim, n=32, t_end=0.5, epsilon=eps, gamma=gamma, beta=beta,
+                        scenario="compression", scenario_params={"rho0": 0.6, "f0": f0})
+        state, records = run_simulation(cfg)
+        _, f = build_scenario(cfg, cfg.make_grid())
+        runs[dim] = state, records, compute_S(state.u, f, cfg.law_params())[0].data
+    (state1, records1, s1), (state2, records2, s2) = runs[1], runs[2]
+    assert state2.step_count == state1.step_count
+    assert np.all(state2.u.components[1] == 0.0)
+    rho2 = state2.rho.data
+    assert np.all(rho2 == rho2[:, :1])
+    assert np.max(np.abs(rho2 - state1.rho.data[:, None])) <= 1e-13
+    assert len(records2) == len(records1)
+    assert max(abs(r2.dt - r1.dt) for r1, r2 in zip(records1, records2)) <= 1e-13
+    assert np.max(np.abs(s2 - s1[:, None])) <= 1e-14 * np.max(np.abs(s1))
 
 
 @pytest.mark.parametrize("cfg", [

@@ -237,6 +237,29 @@ def test_compute_s_rejects_incompatible_rhs(dim, rng, monkeypatch):
         compute_S(u, f, PARAMS)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_s_solves_raise_when_residual_misses_tol(dim, rng, monkeypatch):
+    # a residual check that sees a perturbed last row must make both S
+    # solves raise: they check once and do not refine
+    g = make_grid(dim, 8)
+    neg_lap = brinkflow.momentum._apply_neg_laplacian
+
+    def perturbed(s, grid):
+        out = neg_lap(s, grid)
+        out[-1] += 1e-6 * np.abs(out[-1]).max()
+        return out
+
+    monkeypatch.setattr(brinkflow.momentum, "_apply_neg_laplacian", perturbed)
+    block = rng.standard_normal((3, dim) + g.shape)
+    f = FaceVectorField(g, tuple(rng.standard_normal(g.shape) for _ in range(dim)))
+    with pytest.raises(SolverDiverged) as exc_info:
+        compute_S(block, f, PARAMS)
+    assert exc_info.value.report.final_relative_residual > 1e-10
+    rhs = rng.standard_normal(g.shape)
+    with pytest.raises(SolverDiverged):
+        solve_poisson_zero_mean(ScalarField(g, rhs - rhs.mean()))
+
+
 def _reference_cyclic_solve(coef, r, dx, b):
     """The cyclic Thomas solve written plainly, with np.roll and separate
     sweeps; the package's fused loops must reproduce it bit for bit."""
@@ -283,7 +306,7 @@ def test_cyclic_solver_equals_reference_loops(n, rng):
     x = solve(b[None, :])
     assert x.shape == (1, n)
     assert np.array_equal(x[0], _reference_cyclic_solve(coef, PARAMS.r, dx, b))
-    # a second (refinement) solve reuses the factors of the first
+    # a second (refinement) solve factors again and gets the same factors
     b2 = rng.standard_normal(n)
     assert np.array_equal(solve(b2[None, :])[0], _reference_cyclic_solve(coef, PARAMS.r, dx, b2))
 
@@ -367,12 +390,13 @@ def test_direct_solve_refines_once_then_gives_up():
     A = np.array([[4.0, -1.0, -1.0], [-1.0, 4.0, -1.0], [-1.0, -1.0, 4.0]])
     b = np.array([1.0, 2.0, 3.0])
     inv = np.linalg.inv(A)
-    _, rep = _direct(lambda v: A @ v, lambda v: (1.0 + 1e-6) * (inv @ v), b, None, 1e-10)
+    x0 = np.zeros(3)
+    _, rep = _direct(lambda v: A @ v, lambda v: (1.0 + 1e-6) * (inv @ v), b, x0, 1e-10)
     assert rep.converged and rep.iterations == 1
     assert rep.final_relative_residual <= 1e-10
-    _, rep = _direct(lambda v: A @ v, lambda v: 0.5 * (inv @ v), b, None, 1e-10)
+    _, rep = _direct(lambda v: A @ v, lambda v: 0.5 * (inv @ v), b, x0, 1e-10)
     assert not rep.converged and rep.final_relative_residual > 1e-10
-    _, rep = _direct(lambda v: A @ v, lambda v: np.full(3, np.nan), b, None, 1e-10)
+    _, rep = _direct(lambda v: A @ v, lambda v: np.full(3, np.nan), b, x0, 1e-10)
     assert not rep.converged
 
 
