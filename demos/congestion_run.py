@@ -6,11 +6,7 @@ congested region (rho >= 0.99) forms.  Prints the trajectory summary, the
 energy ledger, and writes diagnostics + snapshots under out_congestion/.
 """
 
-import os
-
-import numpy as np
-
-from brinkflow import RunConfig, energy_report, run_simulation, write_diagnostics_csv
+from brinkflow import RunConfig, energy_report, run_simulation
 
 OUT = "out_congestion"
 
@@ -23,9 +19,7 @@ def main():
     )
     print(f"running compression: n={cfg.n}, f0=600, eps={cfg.epsilon}, "
           f"t_end={cfg.t_end}")
-    state, records = run_simulation(cfg, outdir=OUT)
-    os.makedirs(OUT, exist_ok=True)
-    write_diagnostics_csv(os.path.join(OUT, "diagnostics.csv"), records)
+    _, records = run_simulation(cfg, outdir=OUT)
 
     print(f"\n{'t':>6} {'dt':>9} {'max rho':>9} {'meas_099':>9} "
           f"{'|divu| cong':>11} {'mp resid':>10}")

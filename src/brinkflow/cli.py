@@ -22,6 +22,7 @@ import sys
 
 import numpy as np
 
+from .diagnostics import CONGESTION_THETA
 from .errors import (
     BrinkflowError,
     CongestionOverflow,
@@ -40,7 +41,6 @@ from .harness import (
     resolve_metric,
     run_simulation,
     sweep,
-    write_diagnostics_csv,
     write_report,
 )
 from .laws import LawParams, constraint_residuals, evaluate_laws, regime
@@ -65,24 +65,18 @@ def _eprint(*args):
 
 def _cmd_simulate(args):
     config = load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "diagnostics.csv")
     try:
         state, records = run_simulation(config, outdir=args.out)
     except (SolverDiverged, CongestionOverflow) as exc:
-        partial = getattr(exc, "records", None) or []
-        if partial:
-            write_diagnostics_csv(csv_path, partial)
-        _eprint(f"simulate failed after {len(partial)} records: {exc}")
+        _eprint(f"simulate failed after {len(exc.records)} records: {exc}")
         return 4 if isinstance(exc, CongestionOverflow) else 3
-    write_diagnostics_csv(csv_path, records)
     last = records[-1]
     print(f"completed {state.step_count} steps to t = {last.t:.6g}")
     print(f"mass = {last.mass:.12g}  rho in [{last.min_rho:.6g}, {last.max_rho:.6g}]")
     print(f"flux_residual = {last.flux_residual:.3e}  "
           f"mean_relation_residual = {last.mean_relation_residual:.3e}")
-    print(f"congested measure (rho >= 0.99) = {last.meas_099:.6g}")
-    print(f"wrote {csv_path}")
+    print(f"congested measure (rho >= {CONGESTION_THETA}) = {last.meas_099:.6g}")
+    print(f"wrote {os.path.join(args.out, 'diagnostics.csv')}")
     return 0
 
 
@@ -101,7 +95,6 @@ def _parse_values(text):
 def _cmd_sweep(args):
     config = load_config(args.config)
     values = _parse_values(args.values)
-    os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.txt")
     try:
         table = sweep(config, args.axis, values, outdir=args.out)

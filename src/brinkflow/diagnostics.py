@@ -55,7 +55,6 @@ from .momentum import solve_poisson_zero_mean  # noqa: F401
 __all__ = [
     "CSV_COLUMNS",
     "DiagnosticsRecord",
-    "RecordBlock",
     "build_record",
     "effective_flux_report",
     "CongestionReport",

@@ -1,5 +1,17 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "BrinkflowError",
+    "ConfigError",
+    "DomainError",
+    "SolverDiverged",
+    "CompatibilityError",
+    "CongestionOverflow",
+    "SweepDegenerate",
+    "FitDegenerate",
+    "Unclassifiable",
+]
+
 
 class BrinkflowError(Exception):
     """Base class for all package errors."""

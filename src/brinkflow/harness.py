@@ -96,6 +96,7 @@ __all__ = [
     "sweep",
     "FitResult",
     "fit_rate",
+    "resolve_metric",
     "ClassificationResult",
     "classify_limit",
     "write_diagnostics_csv",
@@ -335,9 +336,15 @@ def run_simulation(config, outdir=None):
     re-raised with the partial record list attached as ``exc.records``: the
     records of every step before the failing one (and, for a congestion
     abort, that step's record too).
-    If ``outdir`` is given and config.snapshot_every > 0, field snapshots are
-    written under ``outdir/snapshots``.
+
+    If ``outdir`` is given, the run creates it and writes
+    ``outdir/diagnostics.csv`` (``write_diagnostics_csv``) when it ends with
+    at least one record: every record on success, the partial list when any
+    exception ends it.  With config.snapshot_every > 0, field snapshots are
+    written under ``outdir/snapshots`` as the run goes.
     """
+    if outdir is not None:
+        os.makedirs(outdir, exist_ok=True)
     grid = config.make_grid()
     params = config.law_params()
     rho0, f = build_scenario(config, grid)
@@ -406,6 +413,9 @@ def run_simulation(config, outdir=None):
         if isinstance(exc, (SolverDiverged, CongestionOverflow)):
             exc.records = records
         raise
+    finally:
+        if outdir is not None and records:
+            write_diagnostics_csv(os.path.join(outdir, "diagnostics.csv"), records)
 
     return state, records
 
@@ -534,7 +544,9 @@ def sweep(config, axis, values, outdir=None):
     axis is "epsilon" or "delta"; values must be strictly decreasing.
     Failed runs (solver stall, congestion abort) become status
     "failed:<Error>" rows and are excluded from fits.  Raises SweepDegenerate
-    (with the table attached) if fewer than 3 runs succeed.
+    (with the table attached) if fewer than 3 runs succeed.  With ``outdir``,
+    run i writes its run directory ``outdir/run_<i>_<axis>_<value>`` and the
+    table is saved as ``outdir/sweep.csv``.
     """
     if axis not in ("epsilon", "delta"):
         raise ConfigError(f"sweep axis must be 'epsilon' or 'delta', got '{axis}'")
@@ -545,19 +557,11 @@ def sweep(config, axis, values, outdir=None):
     rows = []
     for i, v in enumerate(values):
         cfg = replace(config, **{axis: v})
-        rundir = None
-        if outdir is not None:
-            rundir = os.path.join(outdir, f"run_{i:02d}_{axis}_{v:.6g}")
-            os.makedirs(rundir, exist_ok=True)
+        rundir = None if outdir is None else os.path.join(outdir, f"run_{i:02d}_{axis}_{v:.6g}")
         try:
             _, records = run_simulation(cfg, outdir=rundir)
-            if rundir is not None:
-                write_diagnostics_csv(os.path.join(rundir, "diagnostics.csv"), records)
             rows.append(SweepRow(v, "ok", _aggregate(records)))
         except (SolverDiverged, CongestionOverflow) as exc:
-            partial = getattr(exc, "records", None) or []
-            if rundir is not None and partial:
-                write_diagnostics_csv(os.path.join(rundir, "diagnostics.csv"), partial)
             rows.append(SweepRow(v, f"failed:{type(exc).__name__}", {}))
 
     params = {key: getattr(config, key) for key in _KEYS if key != "snapshot_every"}
@@ -606,22 +610,24 @@ def fit_rate(table, metric, drop_nonpositive=False):
     """Fit the named metric against the sweep axis on log-log scales.
 
     Raises FitDegenerate when fewer than 3 usable points remain or when a
-    metric value is nonpositive (pass drop_nonpositive=True to fit on the
-    positive subset instead, if at least 3 points survive).
+    metric or axis value is nonpositive (a delta sweep may end at the exact
+    laws, delta = 0); pass drop_nonpositive=True to fit on the rows where
+    both are positive instead, if at least 3 survive.
     """
     xs, ys = table.column(metric)
     if drop_nonpositive:
-        keep = ys > 0.0
+        keep = (xs > 0.0) & (ys > 0.0)
         xs, ys = xs[keep], ys[keep]
     if len(xs) < 3:
         raise FitDegenerate(
             f"need at least 3 positive points to fit '{metric}', have {len(xs)}"
         )
-    if np.any(ys <= 0.0):
-        raise FitDegenerate(
-            f"metric '{metric}' has nonpositive values; cannot fit a power law "
-            "(retry with drop_nonpositive=True)"
-        )
+    for name, vals in ((f"axis '{table.axis}'", xs), (f"metric '{metric}'", ys)):
+        if np.any(vals <= 0.0):
+            raise FitDegenerate(
+                f"{name} has nonpositive values; cannot fit a power law "
+                "(retry with drop_nonpositive=True)"
+            )
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     pred = slope * lx + intercept

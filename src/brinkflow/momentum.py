@@ -75,7 +75,6 @@ __all__ = [
     "solve_poisson_zero_mean",
     "compute_S",
     "apply_momentum_operator",
-    "linearised_bulk",
 ]
 
 

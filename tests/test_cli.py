@@ -205,6 +205,26 @@ def test_sweep_degenerate_exit_code(tmp_path):
     assert (tmp_path / "deg" / "sweep.csv").exists()
 
 
+def test_delta_sweep_to_exact_laws(tmp_path, capsys):
+    # the last row runs the exact laws (delta = 0): the report fits the
+    # three positive rows, and a strict fit refuses log(0)
+    cfg = write_cfg(tmp_path, FORCED_CFG.replace("t_end = 0.2", "t_end = 0.05")
+                                        .replace("snapshot_every = 0.02\n", ""))
+    out = tmp_path / "sweepout"
+    rc = main(["sweep", "--config", cfg, "--axis", "delta",
+               "--values", "0.1,0.05,0.02,0", "--out", str(out)])
+    assert rc == 0
+    report = (out / "report.txt").read_text()
+    assert "delta=0: ok" in report
+    assert "slope[L1_p] = " in report and "3 points" in report
+    capsys.readouterr()
+    table = str(out / "sweep.csv")
+    assert main(["fit", "--table", table, "--metric", "L1_p"]) == 1
+    assert "degenerate result" in capsys.readouterr().err
+    assert main(["fit", "--table", table, "--metric", "L1_p", "--drop-nonpositive"]) == 0
+    assert "n_points = 3" in capsys.readouterr().out
+
+
 def test_sweep_bad_values_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, GOOD_CFG)
     rc = main(["sweep", "--config", cfg, "--axis", "epsilon",

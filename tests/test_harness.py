@@ -244,6 +244,30 @@ def test_run_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+RUN_DIR_CFG = RunConfig(dim=1, n=32, t_end=0.05, epsilon=1e-2, gamma=2.0, beta=3.0,
+                        scenario="compression", scenario_params={"f0": 50.0})
+
+
+def test_run_simulation_writes_run_directory(tmp_path):
+    outdir = tmp_path / "a" / "b"
+    _, records = run_simulation(RUN_DIR_CFG, outdir=str(outdir))
+    assert len(records) >= 3
+    write_diagnostics_csv(tmp_path / "expected.csv", records)
+    assert (outdir / "diagnostics.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
+def test_run_simulation_writes_partial_records(tmp_path, stall_momentum):
+    stall_momentum(2)
+    with pytest.raises(SolverDiverged) as exc_info:
+        run_simulation(RUN_DIR_CFG, outdir=str(tmp_path))
+    records = exc_info.value.records
+    assert len(records) == 2
+    write_diagnostics_csv(tmp_path / "expected.csv", records)
+    written = (tmp_path / "diagnostics.csv").read_bytes()
+    assert written == (tmp_path / "expected.csv").read_bytes()
+    assert len(written.splitlines()) == 3   # header + the 2 records
+
+
 def test_snapshots_written(tmp_path):
     from dataclasses import replace
     cfg = replace(parse_config(BASE_TEXT), snapshot_every=0.02)
@@ -325,6 +349,35 @@ def test_exported_names_resolve():
     for module in modules:
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), (module.__name__, name)
+
+
+def test_package_api_is_pinned():
+    # the package re-exports each module's __all__; this list catches a
+    # name added to or dropped from one of them
+    names = [
+        "BrinkflowError", "CSV_COLUMNS", "ClassificationResult",
+        "CompatibilityError", "ConfigError", "CongestionOverflow",
+        "CongestionReport", "DiagnosticsRecord", "DomainError", "EnergyLedger",
+        "FaceVectorField", "FitDegenerate", "FitResult", "Grid", "LawParams",
+        "LawValues", "RegimeTag", "RunConfig", "SWEEP_METRICS", "ScalarField",
+        "SimState", "SolveReport", "SolverDiverged", "SweepDegenerate",
+        "SweepRow", "SweepTable", "Unclassifiable", "__version__",
+        "advect_big_lambda", "advect_density", "apply_momentum_operator",
+        "build_record", "build_scenario", "c_beta", "cell_coords",
+        "classify_limit", "compute_S", "congestion_report",
+        "constraint_residuals", "curl", "divergence", "effective_flux_report",
+        "energy_report", "evaluate_laws", "face_coords", "fit_rate",
+        "gradient", "integral", "load_config", "make_grid", "mean_and_measure",
+        "parse_config", "poincare_constant", "pressure_derivative",
+        "read_snapshot", "regime", "resolve_metric", "run_simulation",
+        "solve_momentum", "solve_poisson_zero_mean", "stable_dt", "sweep",
+        "write_diagnostics_csv", "write_report", "write_snapshot",
+    ]
+    assert len(names) == 65
+    assert names == sorted(brinkflow.__all__)
+    bound = {}
+    exec("from brinkflow import *", bound)
+    assert names == sorted(set(bound) - {"__builtins__"})
 
 
 OVERFLOW_TEXT = """
@@ -574,6 +627,19 @@ def test_fit_rate_degenerate_cases():
     two = synth_table(EPS4[:2], lambda v: {"L1_p": v})
     with pytest.raises(FitDegenerate):
         fit_rate(two, "L1_p")
+
+
+def test_fit_rate_nonpositive_axis_value():
+    # a delta sweep may end at the exact laws, delta = 0, where log(axis)
+    # is -inf; strict mode names the axis, drop mode fits the positive rows
+    table = synth_table([1e-1, 5e-2, 2e-2, 0.0], lambda v: {"L1_p": 2.0 + v},
+                        axis="delta")
+    with pytest.raises(FitDegenerate, match="axis 'delta'"):
+        fit_rate(table, "L1_p")
+    fit = fit_rate(table, "L1_p", drop_nonpositive=True)
+    expected = np.polyfit(np.log([1e-1, 5e-2, 2e-2]), np.log([2.1, 2.05, 2.02]), 1)
+    assert fit.n_points == 3
+    assert fit.slope == pytest.approx(expected[0], rel=1e-12)
 
 
 def test_resolve_metric():
