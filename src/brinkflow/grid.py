@@ -222,6 +222,15 @@ def lower_neighbor(c, axis):
     return out
 
 
+def upper_neighbor(c, axis):
+    """c[i+1] along axis, periodic (np.roll(c, -1, axis))."""
+    init, tail, last, first = _SLICES[axis % c.ndim]
+    out = np.empty_like(c)
+    out[init] = c[tail]
+    out[last] = c[first]
+    return out
+
+
 def div_array(components, dx):
     dim = len(components)
     out = _forward_diff(components[0], -dim)

@@ -38,6 +38,16 @@ scenario.f0 = 50.0
 snapshot_every = 0.02
 """
 
+SPIKE_CFG = """
+dim = 1
+n = 32
+t_end = 0.05
+epsilon = 1e-2
+gamma = 2.0
+beta = 3.0
+scenario = spike
+"""
+
 OVERFLOW_CFG = """
 dim = 1
 n = 64
@@ -206,10 +216,11 @@ def test_sweep_degenerate_exit_code(tmp_path):
 
 
 def test_delta_sweep_to_exact_laws(tmp_path, capsys):
-    # the last row runs the exact laws (delta = 0): the report fits the
-    # three positive rows, and a strict fit refuses log(0)
-    cfg = write_cfg(tmp_path, FORCED_CFG.replace("t_end = 0.2", "t_end = 0.05")
-                                        .replace("snapshot_every = 0.02\n", ""))
+    # the spike congests within t_end, so truncation changes every run: the
+    # pressure excess rises as delta falls, and each truncated run has cells
+    # at rho >= 1 - delta.  The last row runs the exact laws (delta = 0): the
+    # report fits the three positive rows, and a strict fit refuses log(0)
+    cfg = write_cfg(tmp_path, SPIKE_CFG)
     out = tmp_path / "sweepout"
     rc = main(["sweep", "--config", cfg, "--axis", "delta",
                "--values", "0.1,0.05,0.02,0", "--out", str(out)])
@@ -217,11 +228,17 @@ def test_delta_sweep_to_exact_laws(tmp_path, capsys):
     report = (out / "report.txt").read_text()
     assert "delta=0: ok" in report
     assert "slope[L1_p] = " in report and "3 points" in report
+    table = SweepTable.load(out / "sweep.csv")
+    assert [row.value for row in table.rows] == [0.1, 0.05, 0.02, 0.0]
+    assert all(row.ok for row in table.rows)
+    l1_p = [row.metrics["final_L1_p"] for row in table.rows]
+    assert all(a < b for a, b in zip(l1_p, l1_p[1:])), l1_p
+    assert all(row.metrics["max_meas_1md"] > 0.0 for row in table.rows if row.value > 0.0)
     capsys.readouterr()
-    table = str(out / "sweep.csv")
-    assert main(["fit", "--table", table, "--metric", "L1_p"]) == 1
+    path = str(out / "sweep.csv")
+    assert main(["fit", "--table", path, "--metric", "L1_p"]) == 1
     assert "degenerate result" in capsys.readouterr().err
-    assert main(["fit", "--table", table, "--metric", "L1_p", "--drop-nonpositive"]) == 0
+    assert main(["fit", "--table", path, "--metric", "L1_p", "--drop-nonpositive"]) == 0
     assert "n_points = 3" in capsys.readouterr().out
 
 

@@ -25,7 +25,7 @@ from brinkflow import (
     write_snapshot,
 )
 from brinkflow.grid import curl_array, curl_t_array
-from brinkflow.grid import div_array, grad_array, lower_neighbor
+from brinkflow.grid import div_array, grad_array, lower_neighbor, upper_neighbor
 
 
 def random_scalar(grid, rng):
@@ -230,6 +230,7 @@ def test_stencils_equal_roll_form(dim, rng):
     for a, grad in enumerate(grad_array(s, dx, dim)):
         assert np.array_equal(grad, (s - np.roll(s, 1, axis=a)) / dx)
         assert np.array_equal(lower_neighbor(s, a), np.roll(s, 1, axis=a))
+        assert np.array_equal(upper_neighbor(s, a), np.roll(s, -1, axis=a))
     if dim == 2:
         ux, uy = comps
         ref_curl = ((uy - np.roll(uy, 1, axis=0)) / dx

@@ -461,6 +461,11 @@ def _stiff_compression(epsilon):
                      scenario="compression", scenario_params={"rho0": 0.6, "f0": 200.0})
 
 
+_ROTATION_16 = RunConfig(dim=2, n=16, t_end=0.05, epsilon=1e-2, gamma=2.0, beta=3.0,
+                         scenario="rotation_squeeze",
+                         scenario_params={"rho0": 0.6, "f0": 40.0, "rot": 20.0})
+
+
 def _counting_momentum(monkeypatch):
     """Wrap the time loop's momentum solve; returns the list of max |u|, one
     entry per call."""
@@ -522,10 +527,7 @@ def test_2d_path_replays_1d_compression(gamma, beta, eps, f0):
 
 
 @pytest.mark.parametrize("cfg", [
-    _stiff_compression(1e-3),
-    RunConfig(dim=2, n=16, t_end=0.05, epsilon=1e-2, gamma=2.0, beta=3.0,
-              scenario="rotation_squeeze",
-              scenario_params={"rho0": 0.6, "f0": 40.0, "rot": 20.0}),
+    _stiff_compression(1e-3), _ROTATION_16,
 ], ids=["1d_compression", "2d_rotation_squeeze"])
 def test_one_momentum_solve_per_record_and_cfl_of_own_velocity(cfg, monkeypatch):
     # dt is picked before the solve and only lowered after it: one solve per
@@ -567,6 +569,47 @@ def test_gap_rejection_halves_dt(monkeypatch):
     assert records[1].dt == pytest.approx(full, rel=1e-12)
     # the rejected update was not committed
     assert float(np.max(state.rho.data)) == 0.3
+
+
+def test_momentum_start_extrapolates_the_steps_taken(monkeypatch):
+    # each solve starts from u^{n-1} + (tau_{n-1}/tau_{n-2}) (u^{n-1} - u^{n-2}),
+    # tau being the steps taken; the first two start from u^{n-1} (0 first)
+    _gap_closing_transport(monkeypatch, times=1)
+    solve = brinkflow.harness.solve_momentum
+    starts, solved = [], []
+
+    def recording(rho, f, params, u0=None, laws=None, dt=0.0):
+        u, rep = solve(rho, f, params, u0=u0, laws=laws, dt=dt)
+        starts.append(u0.components.copy())
+        solved.append(u.components.copy())
+        return u, rep
+
+    monkeypatch.setattr(brinkflow.harness, "solve_momentum", recording)
+    _, records = run_simulation(_ROTATION_16)
+    taus = [r.dt for r in records]
+    # the first step was halved from the CFL cap of u^0, and its tau is the
+    # halved one
+    cap = _ROTATION_16.cfl * _ROTATION_16.make_grid().dx / max(np.abs(solved[0]).max(), 1.0)
+    assert taus[0] == pytest.approx(0.5 * cap, rel=1e-12)
+    assert taus[1] > taus[0]
+    assert len(starts) == len(records) >= 4 and taus[-1] == 0.0
+    assert not np.any(starts[0])
+    assert np.array_equal(starts[1], solved[0])
+    for k in range(2, len(starts)):
+        expected = solved[k - 1] + (taus[k - 1] / taus[k - 2]) * (solved[k - 1] - solved[k - 2])
+        assert np.array_equal(starts[k], expected), k
+
+
+def test_extrapolated_start_bounds_2d_momentum_cost():
+    # a congesting 2D squeeze: started from u^{n-1}, 85 of its 93 solves
+    # refine and the flux CGs take 1,060 iterations; the extrapolated start
+    # takes 772, with the same steps
+    cfg = RunConfig(dim=2, n=32, t_end=0.3, epsilon=1e-2, gamma=2.0, beta=3.0,
+                    scenario="rotation_squeeze",
+                    scenario_params={"rho0": 0.6, "f0": 300.0, "rot": 20.0})
+    state, records = run_simulation(cfg)
+    assert state.step_count == 92
+    assert sum(r.momentum_iters for r in records) <= 900
 
 
 def test_gap_rejection_budget_exhausted_attaches_records(monkeypatch):
@@ -627,6 +670,17 @@ def test_fit_rate_degenerate_cases():
     two = synth_table(EPS4[:2], lambda v: {"L1_p": v})
     with pytest.raises(FitDegenerate):
         fit_rate(two, "L1_p")
+
+
+@pytest.mark.parametrize("value", [0.03195896916189038, 0.05084451944079279, 1.0])
+def test_fit_rate_flat_metric_fits_exactly(value):
+    # a metric that truncation leaves unchanged is a flat line, fitted
+    # exactly, although the mean of its logs can differ from them in the
+    # last bit (r^2 came out as -2.0 and -0.667 for the first two values)
+    table = synth_table([1e-1, 5e-2, 2e-2], lambda v: {"L1_big_lam": value}, axis="delta")
+    fit = fit_rate(table, "L1_big_lam")
+    assert fit.r_squared == 1.0
+    assert fit.slope == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fit_rate_nonpositive_axis_value():

@@ -27,7 +27,7 @@ from brinkflow import (
     solve_momentum,
     solve_poisson_zero_mean,
 )
-from brinkflow.grid import cell_coords, curl_array, curl_t_array, div_array
+from brinkflow.grid import cell_coords, curl_array, curl_t_array, div_array, grad_array
 
 PARAMS = LawParams(epsilon=1e-2, delta=0.0, gamma=2.0, beta=3.0, mu=0.5, r=1.0)
 
@@ -235,6 +235,17 @@ def test_compute_s_rejects_incompatible_rhs(dim, rng, monkeypatch):
                         lambda comps, dx: div(comps, dx) + 1.0)
     with pytest.raises(CompatibilityError):
         compute_S(u, f, PARAMS)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 64), (1, 33), (2, 64), (2, 33)])
+def test_neg_laplacian_stencil_equals_div_grad(dim, n, rng):
+    # the 2*dim-point stencil is -div(grad s), summed in another order
+    g = make_grid(dim, n)
+    for s in (rng.standard_normal(g.shape), rng.standard_normal((3,) + g.shape)):
+        ref = -div_array(grad_array(s, g.dx, dim), g.dx)
+        got = brinkflow.momentum._apply_neg_laplacian(s, g)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("dim", [1, 2])
