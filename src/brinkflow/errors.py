@@ -48,20 +48,21 @@ class CompatibilityError(BrinkflowError):
 
 
 class CongestionOverflow(BrinkflowError):
-    """A density update with delta = 0 came too close to packing.
+    """A density update with delta = 0 cannot keep clear of packing.
 
-    Raised by the transport when a cell would reach rho >= 1, and by the
-    time loop when a cell would close more than half its gap 1 - rho.
-    ``new_max_rho`` is the rejected maximum; ``records`` holds partial
-    diagnostics when raised as a run failure.
+    Raised by ``advect_density`` when keeping every cell from closing more
+    than half its gap 1 - rho would need a step below its floor.
+    ``new_max_rho`` is the max rho of the update at the floor step ``dt``;
+    ``records`` holds partial diagnostics when raised as a run failure.
     """
 
-    def __init__(self, new_max_rho, records=None):
+    def __init__(self, new_max_rho, dt, records=None):
         super().__init__(
-            f"density update rejected: max rho would reach {new_max_rho:.6g} "
-            "(packing is 1; no cell may close more than half its gap to it in one step)"
+            f"density update rejected: max rho would reach {new_max_rho:.12g} at the "
+            f"smallest step {dt:.6g} (no cell may close over half its gap to 1 in a step)"
         )
         self.new_max_rho = new_max_rho
+        self.dt = dt
         self.records = records
 
 

@@ -17,10 +17,10 @@ Time loop (operator splitting per step):
      one ``compute_S`` call) when it is full, before a snapshot is written,
      at t_end and before an exception leaves the loop,
   5. lower dt to the CFL cap of u^n, without solving again,
-  6. advect rho and big_lam with u^n; a rejected density update
-     (CongestionOverflow with delta = 0: some cell would close more than
-     half its gap to packing) halves dt and retries, at most _MAX_HALVINGS
-     times and never below _DT_MIN, before aborting the run.
+  6. advect rho and big_lam with u^n, rho once: with delta = 0
+     ``advect_density`` cuts dt so that no cell closes more than half its
+     gap to packing, and raises CongestionOverflow, which ends the run, when
+     that cut would fall below its floor (dt * 2**-20, and 1e-12).
 
 The pressure is linearly implicit (asymptotic preserving, after Degond, Hua
 & Navoret, J. Comput. Phys. 230 (2011)).  Transport gives
@@ -29,8 +29,8 @@ rho^{n+1} = rho - dt*div(rho u); keeping its compression part
 p(rho^{n+1}) in place of p(rho^n) therefore only adds dt*rho*p' to the bulk
 coefficient 2*mu + lam, and the same SPD solves take it unchanged.  An
 explicit pressure would need dt <= (2*mu+lam)/(rho*p') for stability, a cap
-that shrinks as eps -> 0; here that ratio is a coefficient instead.  Step 5
-only lowers dt, so u^n is linearised at a dt at least as large as the one
+that shrinks as eps -> 0; here that ratio is a coefficient instead.  Steps 5
+and 6 only lower dt, so u^n is linearised at a dt at least as large as the one
 taken, which adds damping and nothing else.  The final record (dt = 0)
 holds the exact semi-stationary solve.
 
@@ -108,10 +108,6 @@ __all__ = [
 ]
 
 _TIME_EPS = 1e-12
-
-# retry budget of a rejected density update: halvings, and the smallest dt
-_MAX_HALVINGS = 20
-_DT_MIN = 1e-12
 
 SWEEP_METRICS = (
     "L1_p", "L1_big_lam", "excl_p", "excl_big_lam",
@@ -309,15 +305,6 @@ def build_scenario(config, grid):
 
 # -- time loop ----------------------------------------------------------------
 
-def _check_gap(rho, new_rho, params):
-    """With delta = 0, reject (CongestionOverflow) an update that closes more
-    than half the gap 1 - rho in some cell: the linearised pressure is only
-    accurate while a step changes rho by a small fraction of 1 - rho, and
-    without this guard an advancing congested front overshoots in one step."""
-    if params.delta == 0.0 and np.any(new_rho.data - rho.data > 0.5 * (1.0 - rho.data)):
-        raise CongestionOverflow(float(np.max(new_rho.data)))
-
-
 def _write_state_snapshots(outdir, state, grid):
     os.makedirs(outdir, exist_ok=True)
     tag = f"step{state.step_count:06d}"
@@ -334,11 +321,11 @@ def run_simulation(config, outdir=None):
     """Integrate one configuration to t_end.
 
     Returns (final SimState, list of DiagnosticsRecords).  Records are
-    emitted once per accepted step plus one final record (dt = 0) at t_end.
-    On solver stall or an exhausted congestion retry budget the exception is
-    re-raised with the partial record list attached as ``exc.records``: the
-    records of every step before the failing one (and, for a congestion
-    abort, that step's record too).
+    emitted once per step plus one final record (dt = 0) at t_end.  On
+    solver stall or congestion overflow the exception is re-raised with the
+    partial record list attached as ``exc.records``: the records of every
+    step before the failing one (and, for a congestion overflow, that step's
+    record too, with the floor step ``exc.dt`` as its dt).
 
     If ``outdir`` is given, the run creates it and writes
     ``outdir/diagnostics.csv`` (``write_diagnostics_csv``) when it ends with
@@ -395,18 +382,11 @@ def run_simulation(config, outdir=None):
                 break
 
             cap = stable_dt(u, grid, config.cfl)
-            dt = min(dt, cap)
-            new_rho = None
-            for attempt in range(_MAX_HALVINGS + 1):
-                try:
-                    new_rho = advect_density(state.rho, u, dt, params)
-                    _check_gap(state.rho, new_rho, params)
-                    break
-                except CongestionOverflow:
-                    if attempt == _MAX_HALVINGS or 0.5 * dt < _DT_MIN:
-                        block.set_dt(dt, records)
-                        raise
-                    dt *= 0.5
+            try:
+                new_rho, dt = advect_density(state.rho, u, min(dt, cap), params)
+            except CongestionOverflow as exc:
+                block.set_dt(exc.dt, records)
+                raise
             tau_prev, tau = tau, dt
             block.set_dt(dt, records)
             if block.full:
@@ -443,10 +423,10 @@ def _fmt(x):
 def write_diagnostics_csv(path, records):
     """The records as CSV, byte for byte what ``csv.writer`` writes with
     ``_fmt`` values: ``"%.17g"`` formats an int as ``_fmt`` does."""
+    row = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\r\n")
-        fh.writelines(",".join(["%.17g" % v for v in rec.csv_values()]) + "\r\n"
-                      for rec in records)
+        fh.writelines(row % tuple(rec.csv_values()) for rec in records)
 
 
 # -- sweeps ---------------------------------------------------------------------

@@ -181,7 +181,7 @@ def evaluate_laws(rho, params):
     fields = (p, lam, big, h, nu, dp)
     if scalar:
         return LawValues(*(float(a[0]) for a in fields))
-    return LawValues(*(a.reshape(rho_in.shape) for a in fields))
+    return LawValues(*fields)   # atleast_1d kept the shape of array input
 
 
 def pressure_derivative(rho, params):

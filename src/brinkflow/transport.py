@@ -5,9 +5,13 @@ First-order conservative upwinding on the MAC grid: the flux through face
 conserved to round-off.  Positivity holds under the CFL bound dt <= dx/|u|
 per axis (the harness's default cfl = 0.4 leaves a 2D margin).
 
-With ``delta = 0`` an update that would push any cell to rho >= 1 is rejected
-by raising ``CongestionOverflow`` before any state is committed; the caller
-halves dt and retries (see the harness loop).
+With ``delta = 0`` no cell may close more than half its gap 1 - rho to
+packing in one step: the linearised pressure is only accurate while a step
+changes rho by a small fraction of the gap, and an advancing congested front
+would otherwise overshoot.  The update rho - dt*D (D the flux divergence) is
+linear in dt, so ``advect_density`` cuts dt to the largest admissible step
+and updates once, or raises ``CongestionOverflow`` if that step is below its
+floor.
 
 The memory field big_lam follows the same upwind transport plus the
 compression source -lam * div(u):
@@ -37,6 +41,10 @@ __all__ = ["SimState", "stable_dt", "advect_density", "advect_big_lambda"]
 # the refinement ratio falls from 2.01 to 1.86; the eps = 0.1 criterion-8a
 # row takes 331 steps instead of 691 with the same L1_big_lam slope (0.665).
 _U_REF = 1.0
+
+# the gap cap cuts a step to no less than dt * _MIN_CUT, never below _DT_MIN
+_MIN_CUT = 2.0**-20
+_DT_MIN = 1e-12
 
 
 @dataclass
@@ -71,19 +79,26 @@ def _flux_divergence(cell_data, u):
 
 
 def advect_density(rho, u, dt, params):
-    """One conservative upwind step; returns the new density field.
+    """One conservative upwind step of at most dt; returns (new rho, dt taken).
 
-    Raises CongestionOverflow (without committing anything) if delta = 0 and
-    the update would reach rho >= 1 anywhere.  The new field is not checked
-    for finiteness: the time loop's ``evaluate_laws`` checks each density it
-    commits.
+    With delta = 0, dt is cut to dt_gap = -0.5 / min(D / (1 - rho)), D the
+    flux divergence, when that min is negative and dt_gap < dt: the
+    fastest-closing cell then closes exactly half its gap.  A dt_gap below
+    the floor max(dt * _MIN_CUT, _DT_MIN) raises CongestionOverflow for the
+    update at the floor, with nothing committed.  The new field is not
+    checked for finiteness: the time loop's ``evaluate_laws`` checks each
+    density it commits.
     """
-    new = rho.data - dt * _flux_divergence(rho.data, u)
+    D = _flux_divergence(rho.data, u)
     if params.delta == 0.0:
-        m = float(np.max(new))
-        if m >= 1.0:
-            raise CongestionOverflow(m)
-    return ScalarField._trusted(rho.grid, new)
+        rate = float(np.min(D / (1.0 - rho.data)))
+        dt_gap = -0.5 / rate if rate < 0.0 else dt
+        if dt_gap < dt:
+            floor = max(dt * _MIN_CUT, _DT_MIN)
+            if dt_gap < floor:
+                raise CongestionOverflow(float(np.max(rho.data - floor * D)), dt=floor)
+            dt = dt_gap
+    return ScalarField._trusted(rho.grid, rho.data - dt * D), dt
 
 
 def advect_big_lambda(big_lam, u, divu, lam, dt):

@@ -209,7 +209,7 @@ def _translate_once(n):
     steps = int(round(1.0 / dt))
     dt = 1.0 / steps
     for _ in range(steps):
-        rho = advect_density(rho, u, dt, params)
+        rho, _ = advect_density(rho, u, dt, params)
     drift = abs(float(np.sum(rho.data)) * g.dx - mass0)
     # after one period the exact profile returns to the initial data
     err = float(np.sum(np.abs(rho.data - (0.45 + 0.25 * np.sin(2 * np.pi * x))))) * g.dx

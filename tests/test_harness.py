@@ -1,9 +1,12 @@
 """Harness tests: config parsing, scenarios, the time loop, sweeps, rate
 fits, and regime classification on synthetic tables."""
 
+import csv
 import dataclasses
 import importlib
 import importlib.util
+import io
+import math
 import pkgutil
 import types
 from pathlib import Path
@@ -18,6 +21,7 @@ import brinkflow.laws
 import brinkflow.momentum
 
 from brinkflow import (
+    CSV_COLUMNS,
     CongestionOverflow,
     ConfigError,
     FitDegenerate,
@@ -244,6 +248,21 @@ def test_run_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_diagnostics_csv_bytes_equal_csv_writer(tmp_path):
+    # the one-template rows against csv.writer with _fmt values, on an int
+    # step and the floats whose formatting could differ
+    edge = [0.0, -0.0, 1e-300, 1.0 / 3.0, math.nan]
+    rows = [[7] + (edge * 4)[:len(CSV_COLUMNS) - 1],
+            [np.int64(8)] + (edge[::-1] * 4)[:len(CSV_COLUMNS) - 1]]
+    records = [types.SimpleNamespace(csv_values=lambda row=row: list(row)) for row in rows]
+    write_diagnostics_csv(tmp_path / "diagnostics.csv", records)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([brinkflow.harness._fmt(v) for v in row] for row in rows)
+    assert (tmp_path / "diagnostics.csv").read_bytes() == expected.getvalue().encode()
+
+
 RUN_DIR_CFG = RunConfig(dim=1, n=32, t_end=0.05, epsilon=1e-2, gamma=2.0, beta=3.0,
                         scenario="compression", scenario_params={"f0": 50.0})
 
@@ -395,7 +414,7 @@ scenario.f0 = 5.0
 
 def test_congestion_abort_attaches_records():
     # density starts within 1e-10 of packing and the laws are too weak to
-    # stop the compression, so halving the step 20 times cannot help
+    # stop the compression, so cutting the step by 2**20 cannot help
     cfg = parse_config(OVERFLOW_TEXT)
     with pytest.raises(CongestionOverflow) as exc_info:
         run_simulation(cfg)
@@ -542,39 +561,43 @@ def test_one_momentum_solve_per_record_and_cfl_of_own_velocity(cfg, monkeypatch)
     assert records[-1].dt == 0.0
 
 
-def _gap_closing_transport(monkeypatch, times):
-    """Make the time loop's density update close 60% of the gap to packing in
-    cell 0 on its first ``times`` calls (below rho = 1, so only the gap rule
-    rejects it)."""
+def _recording_transport(monkeypatch):
+    """Record (rho, dt offered, new rho, dt taken) of every density update
+    of the time loop, leaving the updates as they are."""
     advect = brinkflow.harness.advect_density
-    calls = 0
+    updates = []
 
-    def closing(rho, u, dt, params):
-        nonlocal calls
-        calls += 1
-        new = advect(rho, u, dt, params)
-        if calls <= times:
-            new.data[0] = rho.data[0] + 0.6 * (1.0 - rho.data[0])
-        return new
+    def recording(rho, u, dt, params):
+        new, taken = advect(rho, u, dt, params)
+        updates.append((rho.data.copy(), dt, new.data.copy(), taken))
+        return new, taken
 
-    monkeypatch.setattr(brinkflow.harness, "advect_density", closing)
+    monkeypatch.setattr(brinkflow.harness, "advect_density", recording)
+    return updates
 
 
-def test_gap_rejection_halves_dt(monkeypatch):
-    cfg = parse_config(BASE_TEXT)
-    _gap_closing_transport(monkeypatch, times=1)
-    state, records = run_simulation(cfg)
-    full = cfg.cfl * cfg.make_grid().dx
-    assert records[0].dt == pytest.approx(0.5 * full, rel=1e-12)
-    assert records[1].dt == pytest.approx(full, rel=1e-12)
-    # the rejected update was not committed
-    assert float(np.max(state.rho.data)) == 0.3
+def test_gap_cap_keeps_every_update_within_half_the_gap(monkeypatch):
+    # the eps = 1e-4 sweep row: at 130 steps it rejected 60 halving trials;
+    # the cap takes 115 steps and never updates twice
+    updates = _recording_transport(monkeypatch)
+    state, records = run_simulation(_stiff_compression(1e-4))
+    assert state.step_count == len(updates) == 115
+    cut = 0
+    for rho, offered, new, taken in updates:
+        closed = (new - rho) / (1.0 - rho)
+        assert np.all(closed <= 0.5 * (1.0 + 1e-12))
+        if taken < offered:
+            # a cut step closes exactly half the gap of its fastest cell
+            assert float(np.max(closed)) == pytest.approx(0.5, rel=1e-12)
+            cut += 1
+    assert cut >= 1
+    assert [r.dt for r in records[:-1]] == [taken for *_, taken in updates]
 
 
 def test_momentum_start_extrapolates_the_steps_taken(monkeypatch):
     # each solve starts from u^{n-1} + (tau_{n-1}/tau_{n-2}) (u^{n-1} - u^{n-2}),
     # tau being the steps taken; the first two start from u^{n-1} (0 first)
-    _gap_closing_transport(monkeypatch, times=1)
+    updates = _recording_transport(monkeypatch)
     solve = brinkflow.harness.solve_momentum
     starts, solved = [], []
 
@@ -585,13 +608,14 @@ def test_momentum_start_extrapolates_the_steps_taken(monkeypatch):
         return u, rep
 
     monkeypatch.setattr(brinkflow.harness, "solve_momentum", recording)
-    _, records = run_simulation(_ROTATION_16)
+    # at eps = 1e-4 the gap cap cuts steps 2 to 5
+    _, records = run_simulation(dataclasses.replace(_ROTATION_16, epsilon=1e-4))
     taus = [r.dt for r in records]
-    # the first step was halved from the CFL cap of u^0, and its tau is the
-    # halved one
-    cap = _ROTATION_16.cfl * _ROTATION_16.make_grid().dx / max(np.abs(solved[0]).max(), 1.0)
-    assert taus[0] == pytest.approx(0.5 * cap, rel=1e-12)
-    assert taus[1] > taus[0]
+    # a step cut by the gap cap enters tau as taken, and a later solve's
+    # ratio uses it
+    cut = [k for k, (_, offered, _, taken) in enumerate(updates) if taken < offered]
+    assert cut and cut[0] + 2 < len(records)
+    assert taus[:-1] == [taken for *_, taken in updates]
     assert len(starts) == len(records) >= 4 and taus[-1] == 0.0
     assert not np.any(starts[0])
     assert np.array_equal(starts[1], solved[0])
@@ -612,16 +636,17 @@ def test_extrapolated_start_bounds_2d_momentum_cost():
     assert sum(r.momentum_iters for r in records) <= 900
 
 
-def test_gap_rejection_budget_exhausted_attaches_records(monkeypatch):
-    cfg = parse_config(BASE_TEXT)
-    _gap_closing_transport(monkeypatch, times=10**6)
+def test_gap_cap_budget_exhausted_attaches_records():
+    # within 1e-10 of packing a weak squeeze closes 70% of the gap at the
+    # floor step cfl*dx/2**20: too much for the gap rule, yet below rho = 1
+    cfg = dataclasses.replace(parse_config(OVERFLOW_TEXT),
+                              scenario_params={"rho0": 0.9999999999, "f0": 0.15})
     with pytest.raises(CongestionOverflow) as exc_info:
         run_simulation(cfg)
     exc = exc_info.value
     assert exc.new_max_rho < 1.0
     assert [r.step for r in exc.records] == [0]
-    full = cfg.cfl * cfg.make_grid().dx
-    assert exc.records[0].dt == pytest.approx(full / 2**20, rel=1e-12)
+    assert exc.records[0].dt == exc.dt == cfg.cfl * cfg.make_grid().dx / 2**20
 
 
 def synth_table(values, metric_fn, axis="epsilon", params=None):

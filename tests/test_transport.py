@@ -2,7 +2,10 @@
 
 The conservative form gives two exact discrete facts worth pinning down:
 mass is conserved to round-off for any velocity, and a uniform velocity with
-dt = dx/|u| shifts the field by exactly one cell.
+dt = dx/|u| shifts the field by exactly one cell.  With delta = 0 the density
+update also cuts its step so that no cell closes more than half its gap to
+packing, and raises CongestionOverflow when that cut would fall below its
+floor.
 """
 
 import numpy as np
@@ -38,18 +41,22 @@ def test_stable_dt():
 def test_zero_velocity_leaves_density_unchanged(rng):
     g = make_grid(2, 16)
     rho = ScalarField(g, rng.uniform(0.1, 0.8, g.shape))
-    new = advect_density(rho, FaceVectorField.zeros(g), 0.01, EXACT)
+    new, dt = advect_density(rho, FaceVectorField.zeros(g), 0.01, EXACT)
     np.testing.assert_array_equal(new.data, rho.data)
+    assert dt == 0.01
 
 
 def test_unit_cfl_shifts_exactly_one_cell(rng):
-    # dt = dx/u makes the upwind update new[i] = rho[i-1] identically
+    # dt = dx/u makes the upwind update new[i] = rho[i-1] identically; a
+    # cell may close more than half its gap, so the laws are truncated (no
+    # gap cap)
     g = make_grid(1, 32)
     rho = ScalarField(g, rng.uniform(0.1, 0.8, g.shape))
     c = 0.7
     u = FaceVectorField(g, (np.full(g.shape, c),))
-    new = advect_density(rho, u, g.dx / c, EXACT)
+    new, dt = advect_density(rho, u, g.dx / c, TRUNC)
     np.testing.assert_allclose(new.data, np.roll(rho.data, 1), rtol=1e-13)
+    assert dt == g.dx / c
 
 
 def _translation_error(n):
@@ -63,7 +70,8 @@ def _translation_error(n):
     dt = t_end / steps
     rho = ScalarField(g, rho0)
     for _ in range(steps):
-        rho = advect_density(rho, u, dt, EXACT)
+        rho, taken = advect_density(rho, u, dt, EXACT)
+        assert taken == dt
     exact = 0.45 + 0.25 * np.sin(2 * np.pi * (x - t_end))
     return float(np.sum(np.abs(rho.data - exact))) * g.dx
 
@@ -84,7 +92,7 @@ def test_mass_conservation(dim, rng):
     dt = 0.2 * g.dx / u.max_abs() / dim
     # truncated laws: compression may legitimately exceed rho = 1 here
     for _ in range(50):
-        rho = advect_density(rho, u, dt, TRUNC)
+        rho, _ = advect_density(rho, u, dt, TRUNC)
     assert abs(float(np.sum(rho.data)) - mass0) <= 1e-12 * mass0
 
 
@@ -98,26 +106,64 @@ def test_positivity_preserved(rng):
             u = FaceVectorField(g, tuple(rng.uniform(-1.0, 1.0, g.shape)
                                          for _ in range(dim)))
             dt = cfl * g.dx / u.max_abs()
-            new = advect_density(rho, u, dt, TRUNC)
+            new, _ = advect_density(rho, u, dt, TRUNC)
             assert float(np.min(new.data)) >= -1e-15
 
 
-def test_congestion_overflow_raised_before_commit():
-    # converging velocity (+ left half, - right half) compresses the interior
+def _converging(g):
+    """Velocity +0.5 on faces 0..3 and -0.5 on the others: cell 3 (faces 3
+    and 4) is compressed, cell 7 expands, every other cell is advected."""
+    return FaceVectorField(g, (np.where(np.arange(g.n) <= 3, 0.5, -0.5),))
+
+
+def test_gap_cap_closes_exactly_half_the_gap():
     g = make_grid(1, 8)
-    rho = ScalarField.full(g, 0.95)
-    uvals = np.where(np.arange(8) <= 3, 0.5, -0.5)
-    u = FaceVectorField(g, (uvals,))
+    data = np.full(g.shape, 0.6)
+    data[3] = 0.95
+    rho = ScalarField(g, data)
+    u = _converging(g)
+    # cell 3 gains R = 0.5*(rho_2 + rho_4)/dx per unit time, the only gain
+    rate = 0.5 * (data[2] + data[4]) / g.dx
+    dt_gap = 0.5 * (1.0 - data[3]) / rate
+    dt = 0.1 * g.dx
+    assert dt_gap < dt
+    new, taken = advect_density(rho, u, dt, EXACT)
+    assert taken == pytest.approx(dt_gap, rel=1e-14)
+    assert new.data[3] - data[3] == pytest.approx(0.5 * (1.0 - data[3]), rel=1e-12)
+    # the input field was not modified
+    assert float(np.max(rho.data)) == 0.95
+    # a step that closes less than half of every gap is taken as offered
+    slow, taken = advect_density(rho, u, 0.5 * dt_gap, EXACT)
+    assert taken == 0.5 * dt_gap
+    assert slow.data[3] - data[3] == pytest.approx(0.25 * (1.0 - data[3]), rel=1e-12)
+    # with a truncation there is no cap: the step commits a value above 1
+    new, taken = advect_density(rho, u, dt, TRUNC)
+    assert taken == dt
+    assert float(np.max(new.data)) == pytest.approx(data[3] + dt * rate, rel=1e-12)
+    assert float(np.max(new.data)) > 1.0
+
+
+def test_congestion_overflow_raised_before_commit():
+    # within 1e-10 of packing, halving cell 3's gap needs a step below the
+    # floor dt * 2**-20 of the cap
+    g = make_grid(1, 8)
+    rho0 = 1.0 - 1e-10
+    rho = ScalarField.full(g, rho0)
+    u = _converging(g)
     dt = 0.1 * g.dx
     with pytest.raises(CongestionOverflow) as exc_info:
         advect_density(rho, u, dt, EXACT)
-    # cell 3 gains 0.5*(rho_2 + rho_4)*dt/dx = 0.95*1.1
-    assert exc_info.value.new_max_rho == pytest.approx(1.045, rel=1e-12)
+    exc = exc_info.value
+    assert exc.dt == dt * 2.0**-20
+    # the update at the floor: cell 3 gains 0.5*(rho_2 + rho_4)*dt/dx
+    assert exc.new_max_rho - rho0 == pytest.approx(rho0 * exc.dt / g.dx, rel=1e-6)
+    assert exc.new_max_rho > 1.0
     # the input field was not modified
-    assert float(np.max(rho.data)) == 0.95
+    assert float(np.max(rho.data)) == rho0
     # with a truncation the same step commits a value above 1
-    new = advect_density(rho, u, dt, TRUNC)
-    assert float(np.max(new.data)) == pytest.approx(1.045, rel=1e-12)
+    new, taken = advect_density(rho, u, dt, TRUNC)
+    assert taken == dt
+    assert float(np.max(new.data)) == pytest.approx(rho0 * (1.0 + dt / g.dx), rel=1e-12)
 
 
 def test_big_lambda_source_arithmetic():
