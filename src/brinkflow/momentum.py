@@ -8,8 +8,8 @@ The velocity is slaved to the density through the SPD system
 discretized on the MAC grid so that A is symmetric positive definite
 (<A u, u> = sum (2*mu+lam) (div u)^2 + mu (curl u)^2 + r |u|^2 over cells,
 nodes, and faces).  In 1D, A = -(c u')' + r u is a cyclic tridiagonal
-matrix and is solved directly in O(n): Thomas elimination on the matrix
-without its corners, plus a Sherman-Morrison correction for them.
+M-matrix, solved directly in O(n) by an elimination with no subtraction, so
+that no contrast in c cancels its pivots.
 
 In 2D the solve goes through the viscous part of the effective flux,
 Fv = c div u with c = 2*mu + lam.  Write b = f - grad p and
@@ -32,27 +32,23 @@ with P = a a^H / |a|^2 (and 1/r on the zero mode).
 ``solve_poisson_zero_mean`` inverts -Delta_h on the mean-zero subspace with
 the FFT, which diagonalizes the constant-coefficient periodic operator: mode
 k has eigenvalue sum_axes (4/dx^2) sin^2(pi k_a/n).  ``compute_S`` produces
-the zero-mean part of the effective viscous flux F = (2*mu+lam) div u - p
-directly from force and drag: -Delta_h S = div(f - r*u), so F = mean(F) + S
-holds exactly at the discrete level.  In 2D it is that FFT solve.  In 1D
-no solve is needed: grad S = r*u - f up to a constant, so S is the
-zero-mean prefix sum of dx*(r*u - f - mean(r*u - f)).  ``compute_S`` also
-takes a block of K velocities, which the time loop's diagnostics pass.
+the zero-mean part S of the effective viscous flux F = (2*mu+lam) div u - p
+directly from force and drag, -Delta_h S = div(f - r*u), so F = mean(F) + S
+holds exactly at the discrete level: an FFT solve in 2D, a prefix sum in 1D.
 
 The solves take and return ``FaceVectorField.components`` as it is, and
 ``linearised_bulk`` adds the linearised pressure's dt*rho*p'(rho) to lam.
 
 Every solve targets the fixed relative residual _TOL = 1e-10, measures it
 with one application of the operator and returns a ``SolveReport`` with 1
-iteration (0 for a zero right-hand side); the 2D momentum solve counts its
-inner CG iterations instead.  Only the momentum solve refines, once, and it
-returns a start u0 that meets _TOL with 0 iterations; the S solves and
+iteration (0 for a zero right-hand side; the 2D momentum solve counts its
+inner CG iterations).  Only the momentum solve refines, once, and it returns
+a start u0 that meets _TOL with 0 iterations; the S solves and
 ``solve_poisson_zero_mean`` raise SolverDiverged at once.  The momentum
-solve corrects its start, so its round-off scales with the start's
-residual: the 2D solve reaches about 1e-9 of the residual it solves for.
-The time loop therefore starts it from the velocity extrapolated linearly
-in time from its last two solves, which leaves a residual of about 1.5% of
-b where u^{n-1} leaves 9%, and the first pass then meets _TOL on most solves.
+solve corrects its start, so its round-off scales with the start's residual
+(the 2D solve reaches about 1e-9 of it).  The time loop therefore starts it
+from the velocity extrapolated linearly in time from its last two solves,
+which leaves about 1.5% of b where u^{n-1} leaves 9%.
 """
 
 from __future__ import annotations
@@ -86,6 +82,7 @@ __all__ = [
 
 # relative residual every solve must reach (only the momentum solve refines)
 _TOL = 1e-10
+_PREFIX_FLOOR = 2.0**-256   # the 1D sweeps restart a prefix product below it
 
 
 @dataclass(frozen=True)
@@ -267,56 +264,64 @@ def _flux_reduced_solver(coef, mu, r, grid, inner_reports):
 def _cyclic_tridiagonal_solver(coef, r, dx):
     """The 1D momentum operator's cyclic tridiagonal solve for A x = b.
 
-    Face i couples to faces i+1 and i-1 through the cells on either side:
-    A[i,i] = (c_i + c_{i-1})/dx^2 + r and A[i,i+1] = A[i+1,i] = -c_i/dx^2,
-    with the periodic corners A[0,n-1] = A[n-1,0] = -c_{n-1}/dx^2.  Following
-    Numerical Recipes 2.7, A = T + g w w^T with g = -A[0,0] and
-    w = (1, 0, ..., 0, A[n-1,0]/g), so T is tridiagonal and SPD (g < 0), and
-    A^{-1} b = y - (w.y)/(1 + w.z) z with T y = b, T z = g w.  T = L D L^T
-    is eliminated without pivoting.  Every solve runs the elimination and
-    the forward sweeps of T z = g w and T y = b in one loop, then both
-    backward sweeps in another; the factors are deterministic, so a
-    (refinement) solve that factors again gets the same ones.  The sweeps
-    run on Python floats, which is faster than numpy for this sequential
-    recurrence.
+    With o_i = c_i/dx^2, A[i,i] = o_i + o_{i-1} + r, A[i,i+1] = A[i+1,i] =
+    -o_i and A[0,n-1] = A[n-1,0] = -o_{n-1}.  A = T - o_{n-1} w w^T with
+    w = e_0 + e_{n-1}: T moves the corner coupling onto T[0,0] and T[n-1,n-1],
+    a tridiagonal M-matrix with T 1 = r 1 + 2 o_{n-1} w.  Its pivots
+    p_i = o_i + e_i come from their row excess with no subtraction (Grassmann,
+    Taksar and Heyman, Oper. Res. 33, 1985), e_0 = 2 o_{n-1} + r and
+    e_i = r + o_{i-1} e_{i-1} / (o_{i-1} + e_{i-1}), plus o_{n-1} on p_{n-1}.
+    With a_i = o_{i-1}/p_{i-1} in (0, 1) and P = cumprod(a), a_0 = 1, the
+    sweeps are y = P cumsum(b/P) and x = revcumsum(P y/p) / P, P restarting
+    at 1 below _PREFIX_FLOOR.  Sherman-Morrison gives x = y + (w.y) zeta /
+    (1 - w.zeta), zeta = T^{-1} o_{n-1} w, with 1 - w.zeta = r (eta_0 +
+    eta_{n-1}) / 2, eta = T^{-1} 1.  b, o_{n-1} w and 1 are swept as one array.
     """
     n = coef.size
-    dx2 = dx * dx
-    off = (-coef / dx2).tolist()
-    diag = ((coef + lower_neighbor(coef, 0)) / dx2 + r).tolist()
-    corner = off[n - 1]
-    g = -diag[0]
-    diag[0] -= g
-    diag[n - 1] -= corner * corner / g
-    w_last = corner / g
+    off = coef / (dx * dx)
+    o_last = float(off[n - 1])
+    e_i = 2.0 * o_last + r
+    excess = [e_i]
+    for o in off[:-1].tolist():
+        e_i = r + o * e_i / (o + e_i)
+        excess.append(e_i)
+    p = np.array(excess) + off
+    p[n - 1] += o_last
+    a = np.concatenate(([1.0], off[:-1] / p[:-1]))
+    runs, s = [], 0   # (cells, the a_s linking to the run before, P, P/p)
+    while s < n:
+        link, a[s] = float(a[s]), 1.0
+        prod = np.multiply.accumulate(a[s:])
+        e = n if prod[-1] >= _PREFIX_FLOOR else s + int(np.count_nonzero(prod >= _PREFIX_FLOOR))
+        runs.append((slice(s, e), link, prod[: e - s], prod[: e - s] / p[s:e]))
+        s = e
+    rhs = np.zeros((3, n))
+    rhs[1, 0] = rhs[1, n - 1] = o_last
+    rhs[2] = 1.0
 
     def solve(b):
-        # T = L D L^T: d holds D, lo the unit subdiagonal of L; z = T^{-1} g w,
-        # with g w = (g, 0, ..., 0, corner), and y = T^{-1} b
-        d = [0.0] * n
-        lo = [0.0] * n
-        z = [0.0] * n
-        z[n - 1] = corner
-        y = b[0].tolist()
-        d_i = d[0] = diag[0]
-        z_i = z[0] = g
-        y_i = y[0]
-        for i in range(1, n):
-            o = off[i - 1]
-            l_i = lo[i - 1] = o / d_i
-            d_i = d[i] = diag[i] - l_i * o
-            z_i = z[i] = z[i] - l_i * z_i
-            y_i = y[i] = y[i] - l_i * y_i
-        z_i = z[n - 1] = z_i / d_i
-        y_i = y[n - 1] = y_i / d_i
-        for i in range(n - 2, -1, -1):
-            d_i = d[i]
-            l_i = lo[i]
-            z_i = z[i] = z[i] / d_i - l_i * z_i
-            y_i = y[i] = y[i] / d_i - l_i * y_i
-        z_scale = 1.0 + z[0] + w_last * z[n - 1]
-        y = np.array(y)
-        return (y - ((y[0] + w_last * y[n - 1]) / z_scale) * np.array(z))[np.newaxis]
+        v = rhs.copy()
+        v[0] = b[0]
+        carry = None
+        for cells, link, prod, _ in runs:
+            t = v[:, cells]
+            t /= prod
+            if carry is not None:
+                t[:, 0] += link * carry
+            np.add.accumulate(t, axis=1, out=t)
+            t *= prod
+            carry = t[:, -1]
+        carry = None
+        for cells, link, prod, prod_p in reversed(runs):
+            t = v[:, cells]
+            t *= prod_p
+            if carry is not None:
+                t[:, -1] += carry * prod[-1]
+            np.add.accumulate(t[:, ::-1], axis=1, out=t[:, ::-1])
+            t /= prod
+            carry = link * t[:, 0]
+        y, zeta, eta = v
+        return (y + (2.0 * (y[0] + y[n - 1]) / (r * (eta[0] + eta[n - 1]))) * zeta)[np.newaxis]
 
     return solve
 
@@ -434,24 +439,19 @@ class _BlockReport(SolveReport):
 
 
 def compute_S(u, f, params):
-    """Zero-mean part of the effective viscous flux.
+    """Zero-mean part S of the effective viscous flux: -Delta_h S =
+    div(f - r*u) with mean(S) = 0, so F = (2*mu + lam) div u - p = mean(F) + S.
 
-    S solves -Delta_h S = div(f - r*u) with mean(S) = 0, so that
-    F = (2*mu + lam) div u - p satisfies F = mean(F) + S exactly (up to the
-    solver tolerance).  In 2D S is the FFT solve of
-    ``solve_poisson_zero_mean``.  In 1D, -Delta_h = -div grad and div has
-    the constants as its kernel, so grad S = q with
-    q = r*u - f - mean(r*u - f), and S is the prefix sum cumsum(dx*q) minus
-    its mean.  Both run the compatibility check and the residual check of
+    In 2D S is the FFT solve of ``solve_poisson_zero_mean``.  In 1D,
+    -Delta_h = -div grad and div has the constants as its kernel, so
+    grad S = q = r*u - f - mean(r*u - f) and S is cumsum(dx*q) minus its
+    mean.  Both run the compatibility and residual checks of
     ``solve_poisson_zero_mean``: 1 iteration per row (0 and S = 0 for a zero
-    right-hand side), and SolverDiverged for a row that misses _TOL, with
-    no refinement.
-
-    ``u`` is a FaceVectorField, giving (S as a ScalarField, SolveReport), or
-    a block of K velocities, an array ``(K, dim) + grid.shape``, giving
-    (S as an array ``(K,) + grid.shape``, report): the report's
-    ``iterations`` totals its ``rows``, one count per velocity.  Either way
-    the whole block runs as one set of array operations.
+    right-hand side), and SolverDiverged, with no refinement, for a row that
+    misses _TOL.  ``u`` is a FaceVectorField, giving (S as a ScalarField,
+    SolveReport), or a block of K velocities, an array ``(K, dim) +
+    grid.shape``, giving (S as an array ``(K,) + grid.shape``, report), whose
+    ``iterations`` total its ``rows``, one count per velocity.
     """
     grid = f.grid
     rows = u if isinstance(u, np.ndarray) else u.components[np.newaxis]

@@ -424,6 +424,18 @@ def test_congestion_abort_attaches_records():
     assert exc.records[-1].dt > 0.0
 
 
+def test_near_packing_compression_runs_to_the_end():
+    # rho0 = 1 - 1e-13 puts the bulk coefficient of the 1D momentum solve
+    # near 1e9 next to 2*mu = 1; the solve must stay accurate at that
+    # contrast while the step cap keeps every cell short of packing
+    cfg = parse_config(OVERFLOW_TEXT.replace("0.9999999999\n", "0.9999999999999\n")
+                       .replace("t_end = 1.0", "t_end = 0.5"))
+    _, records = run_simulation(cfg)
+    assert records[-1].t == 0.5
+    assert all(r.max_rho < 1.0 for r in records)
+    assert max(r.flux_residual for r in records) < 1e-9
+
+
 def test_solver_stall_attaches_records(stall_momentum):
     stall_momentum(2)
     with pytest.raises(SolverDiverged) as exc_info:
@@ -888,8 +900,9 @@ def test_sweep_header_records_scenario_params(tmp_path):
 
 
 def test_time_loop_calls_no_np_roll(monkeypatch):
-    # the stencils, the upwind shift and the tridiagonal solve slice; np.roll
-    # costs microseconds of overhead per call in a step of a few hundred
+    # the stencils and the upwind shift slice, and the tridiagonal solve
+    # shifts nothing; np.roll costs microseconds of overhead per call in a
+    # step of a few hundred
     calls = 0
     roll = np.roll
 

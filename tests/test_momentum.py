@@ -6,6 +6,7 @@ them to its own tolerance, not merely to truncation order.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -271,55 +272,101 @@ def test_s_solves_raise_when_residual_misses_tol(dim, rng, monkeypatch):
         solve_poisson_zero_mean(ScalarField(g, rhs - rhs.mean()))
 
 
-def _reference_cyclic_solve(coef, r, dx, b):
-    """The cyclic Thomas solve written plainly, with np.roll and separate
-    sweeps; the package's fused loops must reproduce it bit for bit."""
+def _exact_cyclic_solve(coef, r, dx, b):
+    """A x = b for the 1D momentum matrix, A[i,i] = (c_i + c_{i-1})/dx^2 + r
+    and A[i,i+1] = A[i+1,i] = -c_i/dx^2 with indices modulo n, built from
+    the exact values of the floats coef, r and dx and solved by Gaussian
+    elimination in rational arithmetic; A is SPD, so no pivoting is needed."""
     n = coef.size
-    dx2 = dx * dx
-    off = (-coef / dx2).tolist()
-    diag = ((coef + np.roll(coef, 1)) / dx2 + r).tolist()
-    corner = off[n - 1]
-    g = -diag[0]
-    diag[0] -= g
-    diag[n - 1] -= corner * corner / g
-    d = [0.0] * n
-    lo = [0.0] * n
-    d[0] = diag[0]
-    for i in range(1, n):
-        lo[i - 1] = off[i - 1] / d[i - 1]
-        d[i] = diag[i] - lo[i - 1] * off[i - 1]
-
-    def solve_t(rhs):
-        y = rhs.tolist()
-        for i in range(1, n):
-            y[i] -= lo[i - 1] * y[i - 1]
-        y[n - 1] /= d[n - 1]
-        for i in range(n - 2, -1, -1):
-            y[i] = y[i] / d[i] - lo[i] * y[i + 1]
-        return np.array(y)
-
-    gw = np.zeros(n)
-    gw[0] = g
-    gw[n - 1] = corner
-    z = solve_t(gw)
-    w_last = corner / g
-    z_scale = 1.0 + z[0] + w_last * z[n - 1]
-    y = solve_t(b)
-    return y - ((y[0] + w_last * y[n - 1]) / z_scale) * z
+    c = [Fraction(v) for v in coef.tolist()]
+    dx2 = Fraction(dx) ** 2
+    a = [[Fraction(0)] * n for _ in range(n)]
+    x = [Fraction(v) for v in b.tolist()]
+    for i in range(n):
+        a[i][i] = (c[i] + c[i - 1]) / dx2 + Fraction(r)
+        a[i][(i + 1) % n] = a[(i + 1) % n][i] = -c[i] / dx2
+    for k in range(n):
+        for i in range(k + 1, n):
+            m = a[i][k] / a[k][k]
+            if m:
+                for j in range(k, n):
+                    a[i][j] -= m * a[k][j]
+                x[i] -= m * x[k]
+    for i in range(n - 1, -1, -1):
+        x[i] = (x[i] - sum(a[i][j] * x[j] for j in range(i + 1, n))) / a[i][i]
+    return np.array([float(v) for v in x])
 
 
 @pytest.mark.parametrize("n", [5, 64])
-def test_cyclic_solver_equals_reference_loops(n, rng):
+def test_cyclic_solver_matches_exact_solve(n, rng):
+    # exact, not np.linalg.solve: at n = 64 the condition number is about
+    # 1e7 and LAPACK's own answer is a few 1e-12 off
     coef = 2.0 * PARAMS.mu + evaluate_laws(rng.uniform(0.2, 0.99, n), PARAMS).lam
     b = rng.standard_normal(n)
     dx = 1.0 / n
     solve = brinkflow.momentum._cyclic_tridiagonal_solver(coef, PARAMS.r, dx)
     x = solve(b[None, :])
     assert x.shape == (1, n)
-    assert np.array_equal(x[0], _reference_cyclic_solve(coef, PARAMS.r, dx, b))
-    # a second (refinement) solve factors again and gets the same factors
-    b2 = rng.standard_normal(n)
-    assert np.array_equal(solve(b2[None, :])[0], _reference_cyclic_solve(coef, PARAMS.r, dx, b2))
+    ref = _exact_cyclic_solve(coef, PARAMS.r, dx, b)
+    assert np.linalg.norm(x[0] - ref) <= 1e-12 * np.linalg.norm(ref)
+    # a second (refinement) solve from the same closure gets the same bits
+    assert np.array_equal(solve(b[None, :]), x)
+
+
+@pytest.mark.parametrize("contrast", [1e2, 1e6, 1e10, 1e14, 1e18])
+@pytest.mark.parametrize("block", [[4, 5, 6, 7], [14, 15, 0, 1]], ids=["inside", "corner"])
+def test_cyclic_solver_exact_at_any_contrast(contrast, block, rng):
+    # a block of stiff cells: pivots computed by subtraction lose about
+    # log10(contrast) digits, and a corner split scaled by A[0,0] loses
+    # them when the block holds the corner coupling
+    n = 16
+    coef = np.ones(n)
+    coef[block] = contrast
+    b = rng.standard_normal(n)
+    x = brinkflow.momentum._cyclic_tridiagonal_solver(coef, PARAMS.r, 1.0 / n)(b[None, :])[0]
+    ref = _exact_cyclic_solve(coef, PARAMS.r, 1.0 / n, b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("r", [1e4, 1e12])
+def test_cyclic_solver_exact_at_large_drag(r, rng):
+    # the multipliers a_i are about c/(r dx^2): at r = 1e12 their product
+    # over 64 faces is below the smallest float, so the sweeps must restart
+    # the prefix products to stay in range
+    n = 64
+    coef = 1.0 + rng.uniform(0.0, 1.0, n)
+    b = rng.standard_normal(n)
+    x = brinkflow.momentum._cyclic_tridiagonal_solver(coef, r, 1.0 / n)(b[None, :])[0]
+    ref = _exact_cyclic_solve(coef, r, 1.0 / n, b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _one_cell_near_packing(cell, gap):
+    g = make_grid(1, 64)
+    data = np.full(g.shape, 0.3)
+    data[cell] = 1.0 - gap
+    f = FaceVectorField.from_function(g, lambda x: np.sin(2 * np.pi * x))
+    return ScalarField(g, data), f
+
+
+@pytest.mark.parametrize("cell", [0, 32, 63])
+def test_momentum_1d_converges_next_to_packing(cell):
+    # lam = 1e19 in one cell: next to it a pivot computed by subtraction
+    # cancels to zero (ZeroDivisionError), and at the corner so does a
+    # Sherman-Morrison denominator scaled by A[0,0] (NaN)
+    rho, f = _one_cell_near_packing(cell, 1e-7)
+    u, rep = solve_momentum(rho, f, PARAMS)
+    assert rep.converged and rep.final_relative_residual <= 1e-10
+    assert np.all(np.isfinite(u.components))
+
+
+def test_momentum_1d_failure_next_to_packing_is_reported():
+    # at lam = 1e25 even the exact solution, rounded to floats, leaves a
+    # relative residual of 1e-9 > _TOL: the solve fails, as SolverDiverged
+    rho, f = _one_cell_near_packing(32, 1e-9)
+    with pytest.raises(SolverDiverged) as exc_info:
+        solve_momentum(rho, f, PARAMS)
+    assert not exc_info.value.report.converged
 
 
 # -- direct solves against dense references -------------------------------------
