@@ -27,9 +27,10 @@ Everything else (L1_lambda, dissipation and so the energy ledger) uses the
 physical coefficient 2*mu + lam.
 
 The time loop builds its records K steps at a time.  A ``RecordBlock``
-copies each step's arrays into its own store and, when flushed, computes
-each column for all its steps with one numpy call, reducing along the grid
-axes, and S with one ``compute_S`` call.  numpy's row-wise sums, means,
+takes each step once, complete with the dt it took, copies its arrays into
+its own store and, when flushed, computes each column for all its steps
+with one numpy call, reducing along the grid axes, and S with one
+``compute_S`` call.  numpy's row-wise sums, means,
 maxima and cumulative sums equal the 1D ones bit for bit, so a record does
 not depend on K.  ``build_record`` is a one-step block;
 ``effective_flux_report`` and ``congestion_report`` are one-row calls of the
@@ -114,10 +115,12 @@ class DiagnosticsRecord:
 # _BLOCK_CELLS floats (32 kB) per field, 9 + dim fields, about 0.35 MB.
 _BLOCK_CELLS = 4096
 
+_LAW_FIELDS = tuple(field.name for field in fields(LawValues))
+
 
 def _law_arrays(vals):
     """The fields of the LawValues ``vals``, in field order."""
-    return [getattr(vals, field.name) for field in fields(LawValues)]
+    return [getattr(vals, name) for name in _LAW_FIELDS]
 
 
 def _one_row(vals):
@@ -211,46 +214,37 @@ def congestion_report(rho, u, params):
 class RecordBlock:
     """The diagnostics inputs of up to K time steps, made into records at once.
 
-    ``add`` copies one step's arrays (rho, u, the transported big_lam, div u
-    and every field of its LawValues) into preallocated ``(K,) + grid.shape``
-    buffers, K = max(1, _BLOCK_CELLS // cells), so the block owns what it
-    buffers and a later write into a step's arrays does not change its
-    record.
+    ``add`` takes one step whole, its dt included, and copies its arrays
+    (rho, u, the transported big_lam, div u and every field of its
+    LawValues) into preallocated ``(K,) + grid.shape`` buffers, K = max(1,
+    _BLOCK_CELLS // cells): nothing changes a step after ``add``, a later
+    write into its arrays included, nor its record after ``flush``.
     """
 
     def __init__(self, grid, f, params):
         self.grid, self.f, self.params = grid, f, params
         self.capacity = max(1, _BLOCK_CELLS // grid.n**grid.dim)
-        self.size = 0
         # rho, big_lam, divu, the law values, then u, in one allocation
-        count = 3 + len(fields(LawValues))
+        count = 3 + len(_LAW_FIELDS)
         store = np.empty((count + grid.dim, self.capacity) + grid.shape)
         self._arrays = [*store[:count], np.moveaxis(store[count:], 0, 1)]
-        # step, t, dt, momentum_iters, solve_dt of each buffered step
-        self._scalars = ([], [], [], [], [])
+        # (step, t, dt, momentum_iters, solve_dt) of each buffered step
+        self._steps = []
         self._f_l2sq = sum(float((fc * fc).sum()) for fc in f.components) * grid.cell_volume
 
     @property
     def full(self):
-        return self.size == self.capacity
+        return len(self._steps) == self.capacity
 
-    def add(self, state, vals, divu, step, momentum_iters, solve_dt, dt=0.0):
-        """Buffer one step: its state, ``vals = evaluate_laws(state.rho.data,
-        params)`` and ``divu = div_array(state.u.components, dx)``."""
+    def add(self, state, vals, divu, step, dt, momentum_iters, solve_dt):
+        """Buffer one step, complete: its state, ``vals =
+        evaluate_laws(state.rho.data, params)``, ``divu =
+        div_array(state.u.components, dx)`` and the dt it took."""
         arrays = (state.rho.data, state.big_lam.data, divu, *_law_arrays(vals),
                   state.u.components)
         for buf, a in zip(self._arrays, arrays):
-            buf[self.size] = a
-        for col, value in zip(self._scalars, (step, state.t, dt, momentum_iters, solve_dt)):
-            col.append(value)
-        self.size += 1
-
-    def set_dt(self, dt, records):
-        """Set the dt of the latest step, which may already be in ``records``."""
-        if self.size:
-            self._scalars[2][-1] = dt
-        else:
-            records[-1].dt = dt
+            buf[len(self._steps)] = a
+        self._steps.append((step, state.t, dt, momentum_iters, solve_dt))
 
     def flush(self, records):
         """Append the records of the buffered steps to ``records``; empty the block.
@@ -259,9 +253,9 @@ class RecordBlock:
         time: the records of the steps before the failing one are appended
         and its exception is raised, a SolverDiverged carrying ``records``.
         """
-        if not self.size:
+        size = len(self._steps)
+        if not size:
             return
-        size, self.size = self.size, 0
         try:
             records += self._records(0, size)[0]
         except Exception:
@@ -273,8 +267,7 @@ class RecordBlock:
                     raise
             raise   # every step alone succeeded: report the block's failure
         finally:
-            for col in self._scalars:
-                col.clear()
+            self._steps.clear()
 
     def _records(self, start, stop):
         """(records, S) of the buffered steps start..stop-1."""
@@ -283,7 +276,7 @@ class RecordBlock:
         axes = tuple(range(1, grid.dim + 1))
         rho, big_lam, divu, *law_arrays, u = (a[start:stop] for a in self._arrays)
         vals = LawValues(*law_arrays)
-        step, t, dt, momentum_iters, solve_dt = (col[start:stop] for col in self._scalars)
+        step, t, dt, momentum_iters, solve_dt = zip(*self._steps[start:stop])
         rows = stop - start
 
         S, poisson_rep, flux_res, mean_rel = _flux_rows(
@@ -341,8 +334,8 @@ def build_record(state, f, params, step=0, dt=0.0, momentum_iters=0, solve_dt=0.
     grid = state.rho.grid
     block = RecordBlock(grid, f, params)
     block.add(state, evaluate_laws(state.rho.data, params),
-              div_array(state.u.components, grid.dx), step=step,
-              momentum_iters=momentum_iters, solve_dt=solve_dt, dt=dt)
+              div_array(state.u.components, grid.dx), step=step, dt=dt,
+              momentum_iters=momentum_iters, solve_dt=solve_dt)
     (rec,), S = block._records(0, 1)
     return rec, ScalarField._trusted(grid, S[0])
 

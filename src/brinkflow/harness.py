@@ -12,15 +12,18 @@ Time loop (operator splitting per step):
      extrapolated linearly in time, u^{n-1} + (tau_{n-1}/tau_{n-2}) *
      (u^{n-1} - u^{n-2}) with tau the steps actually taken (from u^{n-1}
      on the first two steps),
-  4. buffer the step's arrays for its diagnostics record in a
-     ``RecordBlock``, which builds the records of K steps at once (S from
-     one ``compute_S`` call) when it is full, before a snapshot is written,
-     at t_end and before an exception leaves the loop,
-  5. lower dt to the CFL cap of u^n, without solving again,
-  6. advect rho and big_lam with u^n, rho once: with delta = 0
-     ``advect_density`` cuts dt so that no cell closes more than half its
-     gap to packing, and raises CongestionOverflow, which ends the run, when
-     that cut would fall below its floor (dt * 2**-20, and 1e-12).
+  4. lower dt to the CFL cap of u^n, without solving again, and advect
+     rho with u^n once: with delta = 0 ``advect_density`` cuts dt so that
+     no cell closes more than half its gap to packing, and raises
+     CongestionOverflow when that cut would fall below its floor (dt *
+     2**-20, and 1e-12), taking the floor as the step's dt,
+  5. buffer the step, complete with the dt it took, for its diagnostics
+     record in a ``RecordBlock``, which builds the records of K steps at
+     once (S from one ``compute_S`` call) when it is full, before a
+     snapshot is written, at t_end and before an exception leaves the loop;
+     then write the step's snapshot, if one is due, and only then raise a
+     congestion overflow, which ends the run,
+  6. advect big_lam with u^n over the dt taken.
 
 The pressure is linearly implicit (asymptotic preserving, after Degond, Hua
 & Navoret, J. Comput. Phys. 230 (2011)).  Transport gives
@@ -29,8 +32,8 @@ rho^{n+1} = rho - dt*div(rho u); keeping its compression part
 p(rho^{n+1}) in place of p(rho^n) therefore only adds dt*rho*p' to the bulk
 coefficient 2*mu + lam, and the same SPD solves take it unchanged.  An
 explicit pressure would need dt <= (2*mu+lam)/(rho*p') for stability, a cap
-that shrinks as eps -> 0; here that ratio is a coefficient instead.  Steps 5
-and 6 only lower dt, so u^n is linearised at a dt at least as large as the one
+that shrinks as eps -> 0; here that ratio is a coefficient instead.  Step 4
+only lowers dt, so u^n is linearised at a dt at least as large as the one
 taken, which adds damping and nothing else.  The final record (dt = 0)
 holds the exact semi-stationary solve.
 
@@ -38,10 +41,11 @@ The law values of step 1 are the only evaluation in the step: the momentum
 solve, the big_lam source -lam * div u and, through the block's copy of
 them, the diagnostics record all reuse them.  Likewise div u^n is computed
 once, after step 3, and feeds both the record and the big_lam source.  A
-record is built after its step, so a failure in it (a flux solve that
-stalls) surfaces at the next flush; the block is then redone one step at a
-time, and the run ends with the records of the steps before the failing
-one, as at a momentum stall, and no snapshot of a later step.
+step enters the block once, complete, so no record changes once built; it
+is built at the next flush, so a failure in it (a flux solve that stalls)
+surfaces there.  The block is then redone one step at a time, and the run
+ends with the records of the steps before the failing one, as at a
+momentum stall, and no snapshot of a later step.
 
 Fields are validated where the loop commits them: ``evaluate_laws`` checks
 each new density and ``advect_big_lambda`` the new big_lam.  The velocity
@@ -370,31 +374,32 @@ def run_simulation(config, outdir=None):
             u_prev = state.u.components
             state.u = u
             divu = div_array(u.components, grid.dx)
-            block.add(state, vals, divu, step=state.step_count,
+            taken, overflow = 0.0, None
+            if not done:
+                cap = stable_dt(u, grid, config.cfl)
+                try:
+                    new_rho, taken = advect_density(state.rho, u, min(dt, cap), params)
+                except CongestionOverflow as exc:
+                    taken, overflow = exc.dt, exc
+            block.add(state, vals, divu, step=state.step_count, dt=taken,
                       momentum_iters=mrep.iterations, solve_dt=dt)
 
             if snap_dir is not None and state.t >= next_snap - _TIME_EPS:
                 block.flush(records)   # no snapshot after a failed record
                 _write_state_snapshots(snap_dir, state, grid)
                 next_snap += config.snapshot_every
-
+            if overflow is not None:
+                raise overflow
             if done:
                 break
 
-            cap = stable_dt(u, grid, config.cfl)
-            try:
-                new_rho, dt = advect_density(state.rho, u, min(dt, cap), params)
-            except CongestionOverflow as exc:
-                block.set_dt(exc.dt, records)
-                raise
-            tau_prev, tau = tau, dt
-            block.set_dt(dt, records)
+            tau_prev, tau = tau, taken
             if block.full:
                 block.flush(records)
 
-            new_big = advect_big_lambda(state.big_lam, u, divu, vals.lam, dt)
+            new_big = advect_big_lambda(state.big_lam, u, divu, vals.lam, taken)
             state = SimState(
-                t=state.t + dt, rho=new_rho, u=u, big_lam=new_big,
+                t=state.t + taken, rho=new_rho, u=u, big_lam=new_big,
                 step_count=state.step_count + 1,
             )
             vals = evaluate_laws(state.rho.data, params)

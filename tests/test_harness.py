@@ -304,6 +304,26 @@ def test_snapshots_written(tmp_path):
     assert len(sorted((tmp_path / "snapshots").glob("*_u0.txt"))) == len(snaps)
 
 
+def test_records_are_final_when_appended(tmp_path, monkeypatch):
+    # a step enters its record block once, complete with the dt it took, so
+    # what a flush appends (before each snapshot too) never changes later
+    flush = brinkflow.diagnostics.RecordBlock.flush
+    appended = []
+
+    def copying(self, records):
+        flush(self, records)
+        appended.append([(r.step, r.dt) for r in records])
+
+    monkeypatch.setattr(brinkflow.diagnostics.RecordBlock, "flush", copying)
+    cfg = RunConfig(dim=1, n=64, t_end=0.1, epsilon=1e-2, gamma=2.0, beta=3.0,
+                    scenario="compression", snapshot_every=0.02,
+                    scenario_params={"f0": 50.0})
+    _, records = run_simulation(cfg, outdir=str(tmp_path))
+    final = [(r.step, r.dt) for r in records]
+    assert len(appended) >= 6
+    assert [copy for copy in appended if copy != final[:len(copy)]] == []
+
+
 @pytest.mark.parametrize("cfg", [
     RunConfig(dim=1, n=32, t_end=0.05, epsilon=1e-2, gamma=2.0, beta=3.0,
               scenario="compression", scenario_params={"rho0": 0.6, "f0": 50.0}),

@@ -5,24 +5,30 @@ mass is conserved to round-off for any velocity, and a uniform velocity with
 dt = dx/|u| shifts the field by exactly one cell.  With delta = 0 the density
 update also cuts its step so that no cell closes more than half its gap to
 packing, and raises CongestionOverflow when that cut would fall below its
-floor.
+floor.  The drift of the transported memory field from big_lam(rho) is
+booked exactly, step by step, by the upwind renormalisation defect and the
+convexity remainder of big_lam.
 """
 
 import numpy as np
 import pytest
 
+import brinkflow.harness
 from brinkflow import (
     CongestionOverflow,
     FaceVectorField,
     LawParams,
+    RunConfig,
     ScalarField,
     advect_big_lambda,
     advect_density,
+    evaluate_laws,
     make_grid,
+    run_simulation,
     stable_dt,
 )
 from brinkflow.grid import cell_coords
-from brinkflow.transport import _upwind_flux
+from brinkflow.transport import _flux_divergence, _upwind_flux
 
 EXACT = LawParams(epsilon=1e-2, delta=0.0, gamma=2.0, beta=3.0)
 TRUNC = LawParams(epsilon=1e-2, delta=0.2, gamma=2.0, beta=3.0)
@@ -194,3 +200,49 @@ def test_upwind_flux_equals_roll_form(dim, rng):
         u[(0,) * dim] = 0.0   # the u >= 0 branch at a zero velocity
         ref = u * np.where(u >= 0.0, np.roll(cell, 1, axis=axis), cell)
         assert np.array_equal(_upwind_flux(cell, u, axis), ref)
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(dim=1, n=64, t_end=0.3, epsilon=1e-2, gamma=2.0, beta=3.0,
+              scenario="compression", scenario_params={"f0": 600.0}),
+    RunConfig(dim=2, n=16, t_end=0.2, epsilon=1e-2, gamma=2.0, beta=3.0,
+              scenario="rotation_squeeze", scenario_params={"f0": 100.0, "rot": 20.0}),
+], ids=["1d", "2d"])
+def test_memory_drift_closes_per_step(cfg, monkeypatch):
+    # with e = big_lam_transported - big_lam(rho) and big_lam' = (big_lam +
+    # lam)/rho, each step of the time loop satisfies
+    #   sum(e^{n+1} - e^n) vol = -dt sum(D) vol - sum(R) vol,
+    # D = div(up(big_lam(rho^n)) u) - big_lam' div(up(rho^n) u) + lam div u
+    # the upwind renormalisation defect and R = big_lam(rho^{n+1}) -
+    # big_lam(rho^n) - big_lam' (rho^{n+1} - rho^n) >= 0 the convexity
+    # remainder
+    densities, memories = [], []
+    advect, advect_big = brinkflow.harness.advect_density, brinkflow.harness.advect_big_lambda
+
+    def recording_density(rho, u, dt, params):
+        new, taken = advect(rho, u, dt, params)
+        densities.append((rho.data.copy(), new.data.copy()))
+        return new, taken
+
+    def recording_memory(big_lam, u, divu, lam, dt):
+        new = advect_big(big_lam, u, divu, lam, dt)
+        memories.append((big_lam.data.copy(), u, divu.copy(), lam.copy(), dt,
+                         new.data.copy()))
+        return new
+
+    monkeypatch.setattr(brinkflow.harness, "advect_density", recording_density)
+    monkeypatch.setattr(brinkflow.harness, "advect_big_lambda", recording_memory)
+    state, _ = run_simulation(cfg)
+    assert len(densities) == len(memories) == state.step_count > 10
+    params, vol = cfg.law_params(), cfg.make_grid().cell_volume
+    for (rho, new_rho), (big, u, divu, lam, dt, new_big) in zip(densities, memories):
+        assert float(np.min(rho)) > 0.0
+        big_lam, new_big_lam = (evaluate_laws(r, params).big_lam for r in (rho, new_rho))
+        slope = (big_lam + lam) / rho
+        D = (_flux_divergence(big_lam, u) - slope * _flux_divergence(rho, u)
+             + lam * divu)
+        R = new_big_lam - big_lam - slope * (new_rho - rho)
+        drift = ((new_big - new_big_lam) - (big - big_lam)).sum() * vol
+        closure = drift + dt * D.sum() * vol + R.sum() * vol
+        assert abs(closure) <= 1e-12 * np.abs(big_lam).sum() * vol
+        assert float(np.min(R)) >= -1e-13 * float(np.max(np.abs(big_lam)))
