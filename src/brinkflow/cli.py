@@ -320,7 +320,7 @@ def main(argv=None):
     except ConfigError as exc:
         _eprint(f"config error: {exc}")
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:
         _eprint(f"config error: {exc}")
         return 2
     except SolverDiverged as exc:

@@ -32,12 +32,11 @@ its own store and, when flushed, computes each column for all its steps
 with one numpy call, reducing along the grid axes, and S with one
 ``compute_S`` call.  numpy's row-wise sums, means,
 maxima and cumulative sums equal the 1D ones bit for bit, so a record does
-not depend on K.  ``build_record`` is a one-step block;
-``effective_flux_report`` and ``congestion_report`` are one-row calls of the
-block's two helpers, one for the flux quantities (``_flux_rows``) and one
-for the congested set {rho >= CONGESTION_THETA} (``_congested_rows``: its
-measure, max |div u| and the rho*p = (beta-1)*big_lam residual on it, and
-the exclusion sums).
+not depend on K.  ``build_record`` is a one-step block, and the one way to
+read a single state's diagnostics.  The block has two helpers, one for the
+flux quantities (``_flux_rows``) and one for the congested set
+{rho >= CONGESTION_THETA} (``_congested_rows``: its measure, max |div u|
+and the rho*p = (beta-1)*big_lam residual on it, and the exclusion sums).
 """
 
 from __future__ import annotations
@@ -57,9 +56,6 @@ __all__ = [
     "CSV_COLUMNS",
     "DiagnosticsRecord",
     "build_record",
-    "effective_flux_report",
-    "CongestionReport",
-    "congestion_report",
     "EnergyLedger",
     "energy_report",
     "poincare_constant",
@@ -123,17 +119,12 @@ def _law_arrays(vals):
     return [getattr(vals, name) for name in _LAW_FIELDS]
 
 
-def _one_row(vals):
-    """``vals`` as a block of one row: each field gains a leading axis."""
-    return LawValues(*(a[np.newaxis] for a in _law_arrays(vals)))
-
-
 def _flux_rows(rho, u, f, vals, params, divu, solve_dt):
-    """(F, S, S's report, flux_residual, mean_relation_residual) of each row.
+    """(S, S's report, flux_residual, mean_relation_residual) of each row.
 
     rho, divu and the ``vals`` fields are ``(K,) + grid.shape`` blocks, u a
     ``(K, dim) + grid.shape`` block and solve_dt a scalar or an array that
-    broadcasts against them.  F and the residuals use the solve's bulk
+    broadcasts against them.  The residuals take F with the solve's bulk
     coefficient, 2*mu + linearised_bulk(vals, rho, solve_dt).
     """
     axes = tuple(range(1, rho.ndim))
@@ -146,37 +137,12 @@ def _flux_rows(rho, u, f, vals, params, divu, solve_dt):
         (bulk * divu).mean(axis=axes) - vals.p.mean(axis=axes)
         + ((vals.p + S) / total).sum(axis=axes) / (1.0 / total).sum(axis=axes)
     )
-    return F, S, report, flux_residual, mean_rel
-
-
-def effective_flux_report(rho, u, f, params):
-    """Effective viscous flux F = (2*mu+lam) div u - p and its residuals.
-
-    Returns (F, S, flux_residual, mean_relation_residual) where
-    flux_residual = max|F - mean(F) - S| and mean_relation_residual is the
-    absolute defect of mean(lam*div u) = mean(p) - sum((p+S)*nu)/sum(nu).
-    """
-    grid = rho.grid
-    divu = div_array(u.components, grid.dx)
-    F, S, _, flux_res, mean_rel = _flux_rows(
-        rho.data[np.newaxis], u.components[np.newaxis], f,
-        _one_row(evaluate_laws(rho.data, params)), params, divu[np.newaxis], 0.0,
-    )
-    return (ScalarField(grid, F[0]), ScalarField._trusted(grid, S[0]),
-            float(flux_res[0]), float(mean_rel[0]))
-
-
-@dataclass(frozen=True)
-class CongestionReport:
-    measure: float
-    max_divu: float
-    mp_residual: float
-    excl_p: float
-    excl_big_lam: float
+    return S, report, flux_residual, mean_rel
 
 
 def _congested_rows(rho, divu, vals, params, vol):
-    """The ``CongestionReport`` fields of each row, as arrays, in field order."""
+    """(meas_099, max_divu_congested, mp_residual, excl_p, excl_big_lam) of
+    each row, as arrays; the congested set is {rho >= CONGESTION_THETA}."""
     axes = tuple(range(1, rho.ndim))
     mask = rho >= CONGESTION_THETA
     if mask.any():
@@ -191,24 +157,6 @@ def _congested_rows(rho, divu, vals, params, vol):
     excl_p = (gap * vals.p).sum(axis=axes) * vol
     excl_bl = (gap * vals.big_lam).sum(axis=axes) * vol
     return measure, mdv, mp, excl_p, excl_bl
-
-
-def congestion_report(rho, u, params):
-    """Congested-set diagnostics: the set is {rho >= CONGESTION_THETA}, the
-    threshold of the meas_099 column.
-
-    measure        : cells in the set, times cell volume
-    max_divu       : max |div u| over that set (0 if empty)
-    mp_residual    : max |rho*p - (beta-1)*big_lam| over that set (0 if empty);
-                     an exact identity whenever beta = gamma + 1
-    excl_p         : sum (1-rho) * p * cell volume (whole domain)
-    excl_big_lam   : sum (1-rho) * big_lam * cell volume
-    """
-    divu = div_array(u.components, rho.grid.dx)
-    rows = _congested_rows(rho.data[np.newaxis], divu[np.newaxis],
-                           _one_row(evaluate_laws(rho.data, params)), params,
-                           rho.grid.cell_volume)
-    return CongestionReport(*(float(col[0]) for col in rows))
 
 
 class RecordBlock:
@@ -282,7 +230,7 @@ class RecordBlock:
         S, poisson_rep, flux_res, mean_rel = _flux_rows(
             rho, u, f, vals, params, divu,
             np.reshape(solve_dt, (rows,) + (1,) * grid.dim),
-        )[1:]
+        )
         meas_099, max_divu, mp, excl_p, excl_bl = _congested_rows(
             rho, divu, vals, params, vol)
 

@@ -51,8 +51,6 @@ __all__ = [
     "divergence",
     "gradient",
     "curl",
-    "mean_and_measure",
-    "integral",
     "write_snapshot",
     "read_snapshot",
 ]
@@ -285,21 +283,6 @@ def curl(u):
     return ScalarField(u.grid, curl_array(u.components, u.grid.dx))
 
 
-def mean_and_measure(s, threshold):
-    """Mean of the field and the measure of {s >= threshold}.
-
-    The measure is the cell count above threshold times the cell volume.
-    """
-    mean = float(np.mean(s.data))
-    measure = float(np.count_nonzero(s.data >= threshold)) * s.grid.cell_volume
-    return mean, measure
-
-
-def integral(s):
-    """Sum of cell values times cell volume."""
-    return float(np.sum(s.data)) * s.grid.cell_volume
-
-
 # -- snapshot I/O ------------------------------------------------------------
 #
 # Text format, one value per line in row-major (C) order, preceded by a
@@ -327,7 +310,8 @@ def read_snapshot(path):
     """Read a snapshot file; returns (values, meta dict).
 
     meta holds dim (int), n (int), length (float), time (float), field (str);
-    values are reshaped to the grid shape.
+    values are reshaped to the grid shape, and a value count other than
+    n**dim raises ConfigError.
     """
     meta = {}
     with open(path) as fh:
@@ -343,5 +327,8 @@ def read_snapshot(path):
     meta["n"] = int(meta["n"])
     meta["length"] = float(meta["length"])
     meta["time"] = float(meta["time"])
-    values = np.loadtxt(path).reshape((meta["n"],) * meta["dim"], order="C")
-    return values, meta
+    values = np.loadtxt(path)
+    count = meta["n"] ** meta["dim"]
+    if values.size != count:
+        raise ConfigError(f"snapshot {path} has {values.size} values, not n**dim = {count}")
+    return values.reshape((meta["n"],) * meta["dim"], order="C"), meta

@@ -493,20 +493,27 @@ class SweepTable:
 
     @classmethod
     def load(cls, path):
-        meta = {}
-        scenario_params = {}
+        """Read a table that ``save`` wrote; a malformed one raises ConfigError."""
+        meta, scenario_params, body = {}, {}, []
         with open(path) as fh:
             lines = fh.readlines()
-        body = []
-        for line in lines:
-            if line.startswith("## scenario."):
-                key, _, val = line[len("## scenario."):].strip().partition("=")
-                scenario_params[key.strip()] = float(val)
-            elif line.startswith("#"):
-                key, _, val = line[1:].strip().partition("=")
-                meta[key.strip()] = val.strip()
-            else:
-                body.append(line)
+        try:
+            for line in lines:
+                if line.startswith("## scenario."):
+                    key, _, val = line[len("## scenario."):].strip().partition("=")
+                    scenario_params[key.strip()] = float(val)
+                elif line.startswith("#"):
+                    key, _, val = line[1:].strip().partition("=")
+                    meta[key.strip()] = val.strip()
+                else:
+                    body.append(line)
+            rows = [SweepRow(float(rec.pop("value")), rec.pop("status"),
+                             {k: float(v) for k, v in rec.items() if v != "nan"})
+                    for rec in csv.DictReader(body)]
+        except KeyError as exc:
+            raise ConfigError(f"sweep table {path} has no {exc} column") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sweep table {path}: {exc}") from exc
         if "axis" not in meta:
             raise ConfigError(f"sweep table {path} is missing its '# axis=' header")
         axis = meta.pop("axis")
@@ -516,13 +523,6 @@ class SweepTable:
                 params[key] = float(val)
             except ValueError:
                 params[key] = val
-        reader = csv.DictReader(body)
-        rows = []
-        for rec in reader:
-            value = float(rec.pop("value"))
-            status = rec.pop("status")
-            metrics = {k: float(v) for k, v in rec.items() if v != "nan"}
-            rows.append(SweepRow(value, status, metrics))
         return cls(axis=axis, rows=rows, params=params, scenario_params=scenario_params)
 
 

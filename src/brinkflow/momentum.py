@@ -438,23 +438,23 @@ class _BlockReport(SolveReport):
     rows: tuple = ()
 
 
-def compute_S(u, f, params):
+def compute_S(rows, f, params):
     """Zero-mean part S of the effective viscous flux: -Delta_h S =
     div(f - r*u) with mean(S) = 0, so F = (2*mu + lam) div u - p = mean(F) + S.
 
-    In 2D S is the FFT solve of ``solve_poisson_zero_mean``.  In 1D,
-    -Delta_h = -div grad and div has the constants as its kernel, so
-    grad S = q = r*u - f - mean(r*u - f) and S is cumsum(dx*q) minus its
-    mean.  Both run the compatibility and residual checks of
-    ``solve_poisson_zero_mean``: 1 iteration per row (0 and S = 0 for a zero
-    right-hand side), and SolverDiverged, with no refinement, for a row that
-    misses _TOL.  ``u`` is a FaceVectorField, giving (S as a ScalarField,
-    SolveReport), or a block of K velocities, an array ``(K, dim) +
-    grid.shape``, giving (S as an array ``(K,) + grid.shape``, report), whose
-    ``iterations`` total its ``rows``, one count per velocity.
+    ``rows`` is a block of K velocities, an array ``(K, dim) + grid.shape``
+    (``u.components[np.newaxis]`` for one), and S comes back as an array
+    ``(K,) + grid.shape``.  In 2D S is the FFT solve of
+    ``solve_poisson_zero_mean``.  In 1D, -Delta_h = -div grad and div has
+    the constants as its kernel, so grad S = q = r*u - f - mean(r*u - f)
+    and S is cumsum(dx*q) minus its mean.  Both run the compatibility and
+    residual checks of ``solve_poisson_zero_mean``: 1 iteration per row (0
+    and S = 0 for a zero right-hand side), and SolverDiverged, with no
+    refinement, for a row that misses _TOL.  Returns (S, report), the
+    report's ``rows`` holding each velocity's count and ``iterations`` their
+    total.
     """
     grid = f.grid
-    rows = u if isinstance(u, np.ndarray) else u.components[np.newaxis]
     # components first: div_array differences the trailing grid axes
     b = _compatible_rhs(div_array(np.moveaxis(f.components - params.r * rows, 1, 0), grid.dx))
     if grid.dim == 1:
@@ -465,6 +465,4 @@ def compute_S(u, f, params):
     else:
         s = _fft_solve(b, grid)
     iters, rel = _check_rows(s, b, grid, "S solve")
-    if not isinstance(u, np.ndarray):
-        return ScalarField._trusted(grid, s[0]), SolveReport(iters[0], rel[0], True)
     return s, _BlockReport(sum(iters), max(rel), True, tuple(iters))

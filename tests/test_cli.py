@@ -120,6 +120,12 @@ def test_simulate_missing_config_is_config_error(tmp_path):
     assert rc == 2
 
 
+def test_simulate_config_directory_is_config_error(tmp_path, capsys):
+    rc = main(["simulate", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_simulate_bad_key_is_config_error(tmp_path):
     cfg = write_cfg(tmp_path, GOOD_CFG + "wobble = 3\n")
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -282,6 +288,27 @@ def test_fit_degenerate(tmp_path):
 def test_fit_missing_table(tmp_path):
     assert main(["fit", "--table", str(tmp_path / "gone.csv"),
                  "--metric", "L1_p"]) == 2
+
+
+# each edit leaves a saved table that ``fit`` must refuse as a configuration error
+MALFORMED_TABLES = {
+    "value": lambda text: text.replace("\n0.10000000000000001,ok,", "\nabc,ok,"),
+    "scenario_param": lambda text: text.replace("\nvalue,", "\n## scenario.f0=abc\nvalue,"),
+    "no_value_column": lambda text: text.replace("\nvalue,", "\nvalu,"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TABLES))
+def test_fit_malformed_table_is_config_error(tmp_path, capsys, case):
+    path = save_table(tmp_path, lambda v: {"L1_p": v})
+    with open(path) as fh:
+        text = fh.read()
+    broken = MALFORMED_TABLES[case](text)
+    assert broken != text
+    with open(path, "w") as fh:
+        fh.write(broken)
+    assert main(["fit", "--table", path, "--metric", "L1_p"]) == 2
+    assert f"sweep table {path}" in capsys.readouterr().err
 
 
 def test_classify_agreement(tmp_path, capsys):

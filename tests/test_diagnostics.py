@@ -1,5 +1,6 @@
-"""Diagnostics tests: effective flux residuals, congestion reports, the
-Poincare constant, and the energy ledger arithmetic."""
+"""Diagnostics tests: effective flux residuals, the congested-set columns,
+the Poincare constant, the energy ledger arithmetic and its per-step
+closure."""
 
 import hashlib
 
@@ -16,8 +17,6 @@ from brinkflow import (
     ScalarField,
     SimState,
     build_record,
-    congestion_report,
-    effective_flux_report,
     energy_report,
     evaluate_laws,
     make_grid,
@@ -25,7 +24,8 @@ from brinkflow import (
     run_simulation,
     solve_momentum,
 )
-from brinkflow.grid import cell_coords, div_array, face_coords
+from brinkflow.grid import cell_coords, div_array, face_coords, grad_array
+from brinkflow.transport import _upwind_flux
 
 PARAMS = LawParams(epsilon=1e-2, delta=0.0, gamma=2.0, beta=3.0, mu=0.5, r=1.0)
 
@@ -42,6 +42,15 @@ def smooth_field(grid, rng, lo, hi):
     return lo + (hi - lo) * 0.5 * (1.0 + total)
 
 
+def _record(rho, u, f=None, params=PARAMS):
+    """(record, S) of ``build_record`` for the state (rho, u), its memory
+    field at the law value; f defaults to zero."""
+    g = rho.grid
+    f = FaceVectorField.zeros(g) if f is None else f
+    big_lam = ScalarField(g, evaluate_laws(rho.data, params).big_lam.copy())
+    return build_record(SimState(t=0.0, rho=rho, u=u, big_lam=big_lam), f, params)
+
+
 def test_csv_columns():
     assert len(CSV_COLUMNS) == 20
     assert CSV_COLUMNS[0] == "step" and CSV_COLUMNS[1] == "t"
@@ -55,14 +64,13 @@ def test_flux_residual_manufactured():
     rho = ScalarField(g, 0.3 + 0.1 * np.sin(2 * np.pi * x))
     f = FaceVectorField(g, (np.sin(2 * np.pi * face_coords(g, 0)[0]),))
     u, _ = solve_momentum(rho, f, PARAMS)
-    F, S, flux_res, mean_rel = effective_flux_report(rho, u, f, PARAMS)
-    assert flux_res <= 1e-8
-    assert mean_rel <= 1e-8
-    # F really is (2 mu + lam) div u - p
+    rec, S = _record(rho, u, f)
+    assert rec.flux_residual <= 1e-8
+    assert rec.mean_relation_residual <= 1e-8
+    # the residual is that of F = (2 mu + lam) div u - p, formed here
     vals = evaluate_laws(rho.data, PARAMS)
-    divu = div_array(u.components, g.dx)
-    np.testing.assert_allclose(F.data, (2 * PARAMS.mu + vals.lam) * divu - vals.p,
-                               rtol=1e-12)
+    F = (2 * PARAMS.mu + vals.lam) * div_array(u.components, g.dx) - vals.p
+    assert np.max(np.abs(F - F.mean() - S.data)) == rec.flux_residual
 
 
 @pytest.mark.parametrize("dim,n", [(1, 64), (2, 32)])
@@ -73,51 +81,36 @@ def test_flux_residual_random_smooth_states(dim, n, rng):
         f = FaceVectorField(g, tuple(smooth_field(g, rng, -1.0, 1.0)
                                      for _ in range(dim)))
         u, _ = solve_momentum(rho, f, PARAMS)
-        _, _, flux_res, mean_rel = effective_flux_report(rho, u, f, PARAMS)
-        assert flux_res <= 100 * 1e-10   # 100 * solver tolerance
-        assert mean_rel <= 100 * 1e-10
+        rec, _ = _record(rho, u, f)
+        assert rec.flux_residual <= 100 * 1e-10   # 100 * solver tolerance
+        assert rec.mean_relation_residual <= 100 * 1e-10
 
 
 def test_congestion_report_counting():
+    # the congested set is {rho >= 0.99}: of the four cells near it, the one
+    # at exactly 0.99 counts and the next float below does not
     g = make_grid(1, 8)
-    data = np.array([0.5, 0.5, 0.995, 0.992, 0.5, 0.5, 0.5, 0.5])
+    data = np.array([0.5, 0.99, 0.995, 0.992, np.nextafter(0.99, 0.0), 0.5, 0.5, 0.5])
     rho = ScalarField(g, data)
     u = FaceVectorField(g, (np.arange(8.0),))
-    rep = congestion_report(rho, u, PARAMS)
-    assert rep.measure == pytest.approx(2.0 / 8.0, rel=1e-15)
+    rec, _ = _record(rho, u)
+    assert rec.meas_099 == pytest.approx(3.0 / 8.0, rel=1e-15)
     # div u = (u[i+1]-u[i])/dx = 8 in every cell except the wrap cell
-    assert rep.max_divu == pytest.approx(8.0, rel=1e-13)
+    assert rec.max_divu_congested == pytest.approx(8.0, rel=1e-13)
     # beta = gamma + 1 makes rho*p = (beta-1)*big_lam exact on the set
-    assert rep.mp_residual <= 1e-12 * evaluate_laws(0.995, PARAMS).p
+    assert rec.mp_residual <= 1e-12 * evaluate_laws(0.995, PARAMS).p
     vals = evaluate_laws(data, PARAMS)
-    assert rep.excl_p == pytest.approx(
+    assert rec.excl_p == pytest.approx(
         float(np.sum((1 - data) * vals.p)) / 8.0, rel=1e-14)
-    assert rep.excl_big_lam == pytest.approx(
+    assert rec.excl_big_lam == pytest.approx(
         float(np.sum((1 - data) * vals.big_lam)) / 8.0, rel=1e-14)
 
 
 def test_congestion_report_empty_set():
     g = make_grid(1, 8)
-    rho = ScalarField.full(g, 0.5)
-    rep = congestion_report(rho, FaceVectorField.zeros(g), PARAMS)
-    assert rep.measure == 0.0 and rep.max_divu == 0.0 and rep.mp_residual == 0.0
-
-
-def test_congestion_report_matches_build_record(rng):
-    # one congested-set routine: the report and the record agree exactly
-    g = make_grid(1, 64)
-    data = rng.uniform(0.5, 0.98, g.shape)
-    data[[3, 17, 40]] = [0.995, 0.992, 0.999]
-    rho = ScalarField(g, data)
-    u = FaceVectorField(g, (rng.normal(size=g.shape),))
-    f = FaceVectorField(g, (rng.normal(size=g.shape),))
-    big_lam = ScalarField(g, evaluate_laws(data, PARAMS).big_lam.copy())
-    rec, _ = build_record(SimState(t=0.0, rho=rho, u=u, big_lam=big_lam), f, PARAMS)
-    rep = congestion_report(rho, u, PARAMS)
-    assert rep.measure == pytest.approx(3.0 / 64.0) and rep.max_divu > 0.0
-    assert (rep.measure, rep.max_divu, rep.mp_residual, rep.excl_p, rep.excl_big_lam) == (
-        rec.meas_099, rec.max_divu_congested, rec.mp_residual, rec.excl_p,
-        rec.excl_big_lam)
+    rec, _ = _record(ScalarField.full(g, 0.5), FaceVectorField.zeros(g))
+    assert rec.meas_099 == 0.0 and rec.max_divu_congested == 0.0
+    assert rec.mp_residual == 0.0
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -137,10 +130,10 @@ def test_mp_identity_requires_beta_gamma_plus_one():
     g = make_grid(1, 8)
     rho = ScalarField.full(g, 0.995)
     u = FaceVectorField.zeros(g)
-    ok = congestion_report(rho, u, PARAMS)
+    ok, _ = _record(rho, u)
     assert ok.mp_residual <= 1e-10
     off = LawParams(epsilon=1e-2, delta=0.0, gamma=2.0, beta=2.5)
-    bad = congestion_report(rho, u, off)
+    bad, _ = _record(rho, u, params=off)
     assert bad.mp_residual > 1e-3
 
 
@@ -149,11 +142,11 @@ def test_exclusion_identity(rng):
     g = make_grid(1, 32)
     data = rng.uniform(0.05, 0.95, g.shape)
     rho = ScalarField(g, data)
-    rep = congestion_report(rho, FaceVectorField.zeros(g), PARAMS)
+    rec, _ = _record(rho, FaceVectorField.zeros(g))
     p = evaluate_laws(data, PARAMS).p
     eps, gamma = PARAMS.epsilon, PARAMS.gamma
     rhs = float(np.sum(eps ** (1 / gamma) * data * p ** ((gamma - 1) / gamma))) / g.n
-    assert rep.excl_p == pytest.approx(rhs, rel=1e-12)
+    assert rec.excl_p == pytest.approx(rhs, rel=1e-12)
 
 
 def test_poincare_constant_1d_analytic():
@@ -290,3 +283,66 @@ def test_records_do_not_depend_on_block_size(cfg, monkeypatch):
         monkeypatch.setattr(brinkflow.diagnostics, "_BLOCK_CELLS", budget)
         digests.add(_records_digest(run_simulation(cfg)[1]))
     assert len(digests) == 1
+
+
+# -- the energy ledger, booked per step ---------------------------------------------
+
+@pytest.mark.parametrize("cfg", [
+    # criterion 7 at n = 64
+    RunConfig(dim=1, n=64, t_end=1.0, epsilon=1e-2, gamma=2.0, beta=3.0,
+              scenario="compression", scenario_params={"rho0": 0.6, "f0": 5.0}),
+    RunConfig(dim=1, n=64, t_end=0.3, epsilon=1e-2, gamma=2.0, beta=3.0,
+              scenario="compression", scenario_params={"rho0": 0.6, "f0": 600.0}),
+    RunConfig(dim=2, n=16, t_end=0.2, epsilon=1e-2, gamma=2.0, beta=3.0,
+              scenario="rotation_squeeze", scenario_params={"f0": 100.0, "rot": 20.0}),
+], ids=["crit7", "congested", "2d"])
+def test_energy_ledger_closes_per_step(cfg, monkeypatch):
+    # with h' = (p + h)/rho, F_up the upwind flux of rho^n, dt the step taken
+    # and dt_s the dt of the momentum solve, each step of the time loop
+    # satisfies
+    #   E^{n+1} - E^n + dt*diss - dt*forc = dt*D_up - dt*dt_s*L + sum(R) vol,
+    # D_up = <grad h', F_up> + <p, div u> <= 0 the upwind dissipation,
+    # L = sum(rho p' (div u)^2) vol >= 0 the damping of the linearised
+    # pressure and R = h(rho^{n+1}) - h(rho^n) - h' (rho^{n+1} - rho^n) >= 0
+    # the convexity remainder
+    updates, solve_dts = [], []
+    advect, solve = brinkflow.harness.advect_density, brinkflow.harness.solve_momentum
+
+    def recording_density(rho, u, dt, params):
+        new, taken = advect(rho, u, dt, params)
+        updates.append((rho.data.copy(), u.components.copy(), new.data.copy(), taken))
+        return new, taken
+
+    def recording_solve(*args, **kwargs):
+        solve_dts.append(kwargs["dt"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(brinkflow.harness, "advect_density", recording_density)
+    monkeypatch.setattr(brinkflow.harness, "solve_momentum", recording_solve)
+    _, records = run_simulation(cfg)
+    assert len(updates) == len(records) - 1 == len(solve_dts) - 1 > 10
+    params, grid = cfg.law_params(), cfg.make_grid()
+    vol = grid.cell_volume
+    split, bound = np.zeros(3), 0.0   # the parts and the closure bounds, summed
+    for (rho, u, new_rho, dt), dt_s, rec, nxt in zip(updates, solve_dts, records,
+                                                    records[1:]):
+        assert rec.dt == dt
+        vals, new_vals = evaluate_laws(rho, params), evaluate_laws(new_rho, params)
+        slope = (vals.p + vals.h) / rho
+        flux = [_upwind_flux(rho, c, a) for a, c in enumerate(u)]
+        divu = div_array(u, grid.dx)
+        d_up = ((grad_array(slope, grid.dx, grid.dim) * flux).sum()
+                + (vals.p * divu).sum()) * vol
+        lin = (rho * vals.dp * divu * divu).sum() * vol
+        R = new_vals.h - vals.h - slope * (new_rho - rho)
+        terms = np.array([dt * d_up, -dt * dt_s * lin, R.sum() * vol])
+        lhs = nxt.energy_H - rec.energy_H + dt * (rec.dissipation - rec.forcing_power)
+        scale = abs(rec.energy_H) + dt * (abs(rec.dissipation) + abs(rec.forcing_power))
+        assert abs(lhs - terms.sum()) <= 1e-12 * scale, rec.step
+        bound += 1e-12 * scale
+        assert d_up <= 1e-12 * rec.dissipation, rec.step
+        assert float(np.min(R)) >= -1e-13 * float(np.max(np.abs(vals.h))), rec.step
+        split += terms
+    ledger = energy_report(records, params, grid)
+    # the ledger's drift is the sum of the three parts
+    assert abs(split.sum() - ledger.final_drift) <= bound

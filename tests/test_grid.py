@@ -18,9 +18,7 @@ from brinkflow import (
     divergence,
     face_coords,
     gradient,
-    integral,
     make_grid,
-    mean_and_measure,
     read_snapshot,
     write_snapshot,
 )
@@ -156,25 +154,6 @@ def test_curl_convergence_second_order():
     assert np.log2(errs[0] / errs[1]) > 1.9
 
 
-def test_mean_and_measure():
-    g = make_grid(1, 4)
-    s = ScalarField(g, np.array([0.3, 0.55, 0.75, 1.03]))
-    mean, meas = mean_and_measure(s, 0.7)
-    assert mean == pytest.approx(0.6575, rel=1e-15)
-    assert meas == pytest.approx(0.5, rel=1e-15)
-    _, none_above = mean_and_measure(s, 2.0)
-    assert none_above == 0.0
-    # threshold is inclusive
-    _, at_value = mean_and_measure(s, 1.03)
-    assert at_value == pytest.approx(0.25, rel=1e-15)
-
-
-def test_integral():
-    g = make_grid(2, 8, length=2.0)
-    s = ScalarField.full(g, 3.0)
-    assert integral(s) == pytest.approx(12.0, rel=1e-14)
-
-
 def test_snapshot_roundtrip(tmp_path):
     g = make_grid(1, 16, length=2.0)
     rng = np.random.default_rng(7)
@@ -203,6 +182,13 @@ def test_snapshot_missing_header(tmp_path):
     path = tmp_path / "broken.txt"
     path.write_text("# dim=1\n0.5\n")
     with pytest.raises(ConfigError):
+        read_snapshot(path)
+
+
+def test_snapshot_value_count_must_match_grid(tmp_path):
+    path = tmp_path / "short.txt"
+    write_snapshot(path, "rho", make_grid(2, 4), np.ones(15), 0.0)
+    with pytest.raises(ConfigError, match="15 values"):
         read_snapshot(path)
 
 

@@ -396,23 +396,22 @@ def test_package_api_is_pinned():
     names = [
         "BrinkflowError", "CSV_COLUMNS", "ClassificationResult",
         "CompatibilityError", "ConfigError", "CongestionOverflow",
-        "CongestionReport", "DiagnosticsRecord", "DomainError", "EnergyLedger",
-        "FaceVectorField", "FitDegenerate", "FitResult", "Grid", "LawParams",
-        "LawValues", "RegimeTag", "RunConfig", "SWEEP_METRICS", "ScalarField",
-        "SimState", "SolveReport", "SolverDiverged", "SweepDegenerate",
-        "SweepRow", "SweepTable", "Unclassifiable", "__version__",
-        "advect_big_lambda", "advect_density", "apply_momentum_operator",
-        "build_record", "build_scenario", "c_beta", "cell_coords",
-        "classify_limit", "compute_S", "congestion_report",
-        "constraint_residuals", "curl", "divergence", "effective_flux_report",
+        "DiagnosticsRecord", "DomainError", "EnergyLedger", "FaceVectorField",
+        "FitDegenerate", "FitResult", "Grid", "LawParams", "LawValues",
+        "RegimeTag", "RunConfig", "SWEEP_METRICS", "ScalarField", "SimState",
+        "SolveReport", "SolverDiverged", "SweepDegenerate", "SweepRow",
+        "SweepTable", "Unclassifiable", "__version__", "advect_big_lambda",
+        "advect_density", "apply_momentum_operator", "build_record",
+        "build_scenario", "c_beta", "cell_coords", "classify_limit",
+        "compute_S", "constraint_residuals", "curl", "divergence",
         "energy_report", "evaluate_laws", "face_coords", "fit_rate",
-        "gradient", "integral", "load_config", "make_grid", "mean_and_measure",
-        "parse_config", "poincare_constant", "pressure_derivative",
-        "read_snapshot", "regime", "resolve_metric", "run_simulation",
-        "solve_momentum", "solve_poisson_zero_mean", "stable_dt", "sweep",
+        "gradient", "load_config", "make_grid", "parse_config",
+        "poincare_constant", "pressure_derivative", "read_snapshot", "regime",
+        "resolve_metric", "run_simulation", "solve_momentum",
+        "solve_poisson_zero_mean", "stable_dt", "sweep",
         "write_diagnostics_csv", "write_report", "write_snapshot",
     ]
-    assert len(names) == 65
+    assert len(names) == 60
     assert names == sorted(brinkflow.__all__)
     bound = {}
     exec("from brinkflow import *", bound)
@@ -565,7 +564,8 @@ def test_2d_path_replays_1d_compression(gamma, beta, eps, f0):
                         scenario="compression", scenario_params={"rho0": 0.6, "f0": f0})
         state, records = run_simulation(cfg)
         _, f = build_scenario(cfg, cfg.make_grid())
-        runs[dim] = state, records, compute_S(state.u, f, cfg.law_params())[0].data
+        s, _ = compute_S(state.u.components[np.newaxis], f, cfg.law_params())
+        runs[dim] = state, records, s[0]
     (state1, records1, s1), (state2, records2, s2) = runs[1], runs[2]
     assert state2.step_count == state1.step_count
     assert np.all(state2.u.components[1] == 0.0)
