@@ -240,7 +240,7 @@ def _params_from_table(table):
         )
     defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
     return LawParams(**{
-        f.name: float(table.params.get(f.name, defaults[f.name]))
+        f.name: table.params.get(f.name, defaults[f.name])
         for f in dataclasses.fields(LawParams)
     })
 

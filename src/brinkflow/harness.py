@@ -52,9 +52,10 @@ each new density and ``advect_big_lambda`` the new big_lam.  The velocity
 and S are not checked again; the residual check of each solve fails on a
 non-finite value.
 
-Sweeps rerun one configuration while varying epsilon or delta, aggregate
-final-time and max-over-time metrics per run, and feed log-log rate fits and
-the limit-regime classifier.  Classification fits use final-time columns.
+Sweeps rerun one configuration while varying epsilon or delta; the table,
+built by ``SweepTable.from_runs`` from each run's records, holds final-time and
+max-over-time metrics per run and feeds log-log rate fits and the
+limit-regime classifier.  Classification fits use final-time columns.
 """
 
 from __future__ import annotations
@@ -201,8 +202,11 @@ def parse_config(text):
 
 
 def load_config(path):
-    with open(path) as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return parse_config(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
 
 
 # -- scenarios ----------------------------------------------------------------
@@ -495,16 +499,16 @@ class SweepTable:
     def load(cls, path):
         """Read a table that ``save`` wrote; a malformed one raises ConfigError."""
         meta, scenario_params, body = {}, {}, []
-        with open(path) as fh:
-            lines = fh.readlines()
         try:
+            with open(path) as fh:
+                lines = fh.readlines()
             for line in lines:
                 if line.startswith("## scenario."):
                     key, _, val = line[len("## scenario."):].strip().partition("=")
                     scenario_params[key.strip()] = float(val)
                 elif line.startswith("#"):
-                    key, _, val = line[1:].strip().partition("=")
-                    meta[key.strip()] = val.strip()
+                    key, _, val = (part.strip() for part in line[1:].partition("="))
+                    meta[key] = _KEYS.get(key, str)(val)   # as in a config file
                 else:
                     body.append(line)
             rows = [SweepRow(float(rec.pop("value")), rec.pop("status"),
@@ -517,22 +521,27 @@ class SweepTable:
         if "axis" not in meta:
             raise ConfigError(f"sweep table {path} is missing its '# axis=' header")
         axis = meta.pop("axis")
-        params = {}
-        for key, val in meta.items():
-            try:
-                params[key] = float(val)
-            except ValueError:
-                params[key] = val
-        return cls(axis=axis, rows=rows, params=params, scenario_params=scenario_params)
+        return cls(axis=axis, rows=rows, params=meta, scenario_params=scenario_params)
 
-
-def _aggregate(records):
-    final = records[-1]
-    metrics = {}
-    for name in SWEEP_METRICS:
-        metrics[f"final_{name}"] = getattr(final, name)
-        metrics[f"max_{name}"] = max(getattr(r, name) for r in records)
-    return metrics
+    @classmethod
+    def from_runs(cls, config, axis, runs):
+        """The table of ``config`` swept along ``axis`` from its runs: (value,
+        records, or the SolverDiverged or CongestionOverflow that ended the
+        run) pairs.  Records give an "ok" row of their final and max-over-time
+        metrics, a failure a "failed:<Error>" row with none."""
+        rows = []
+        for value, result in runs:
+            if isinstance(result, (SolverDiverged, CongestionOverflow)):
+                rows.append(SweepRow(value, f"failed:{type(result).__name__}", {}))
+                continue
+            metrics = {}
+            for name in SWEEP_METRICS:
+                metrics[f"final_{name}"] = getattr(result[-1], name)
+                metrics[f"max_{name}"] = max(getattr(r, name) for r in result)
+            rows.append(SweepRow(value, "ok", metrics))
+        params = {key: getattr(config, key) for key in _KEYS if key != "snapshot_every"}
+        return cls(axis=axis, rows=rows, params=params,
+                   scenario_params=dict(config.scenario_params))
 
 
 def sweep(config, axis, values, outdir=None):
@@ -551,19 +560,16 @@ def sweep(config, axis, values, outdir=None):
     if len(values) < 2 or any(b >= a for a, b in zip(values, values[1:])):
         raise ConfigError("sweep values must be strictly decreasing")
 
-    rows = []
-    for i, v in enumerate(values):
-        cfg = replace(config, **{axis: v})
-        rundir = None if outdir is None else os.path.join(outdir, f"run_{i:02d}_{axis}_{v:.6g}")
-        try:
-            _, records = run_simulation(cfg, outdir=rundir)
-            rows.append(SweepRow(v, "ok", _aggregate(records)))
-        except (SolverDiverged, CongestionOverflow) as exc:
-            rows.append(SweepRow(v, f"failed:{type(exc).__name__}", {}))
+    def runs():   # one run's records at a time, aggregated as they come
+        for i, v in enumerate(values):
+            rundir = None if outdir is None else os.path.join(outdir, f"run_{i:02d}_{axis}_{v:.6g}")
+            try:
+                _, result = run_simulation(replace(config, **{axis: v}), outdir=rundir)
+            except (SolverDiverged, CongestionOverflow) as exc:
+                result = exc
+            yield v, result
 
-    params = {key: getattr(config, key) for key in _KEYS if key != "snapshot_every"}
-    table = SweepTable(axis=axis, rows=rows, params=params,
-                       scenario_params=dict(config.scenario_params))
+    table = SweepTable.from_runs(config, axis, runs())
     if outdir is not None:
         table.save(os.path.join(outdir, "sweep.csv"))
     if len(table.ok_rows()) < 3:

@@ -1,14 +1,44 @@
+import time
+
 import numpy as np
 import pytest
 
 import brinkflow.diagnostics
 import brinkflow.harness
-from brinkflow import SolveReport, SolverDiverged
+from brinkflow import CongestionOverflow, SolveReport, SolverDiverged
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(scope="session")
+def shared_run():
+    """``shared_run(config)`` -> (``run_simulation(config)``, or the
+    SolverDiverged or CongestionOverflow that ended the run; the run's wall
+    time in seconds).
+
+    Each configuration runs once per session, and every later call with an
+    equal config returns that run.  RunConfig is not hashable (its
+    scenario_params is a dict), so runs are found by ``==``.  A test that
+    monkeypatches brinkflow must not use it, or the shared run is tainted.
+    """
+    runs = []   # (config, result, seconds)
+
+    def run(config):
+        for cfg, result, seconds in runs:
+            if cfg == config:
+                return result, seconds
+        t0 = time.perf_counter()
+        try:
+            result = brinkflow.harness.run_simulation(config)
+        except (SolverDiverged, CongestionOverflow) as exc:
+            result = exc
+        runs.append((config, result, time.perf_counter() - t0))
+        return runs[-1][1:]
+
+    return run
 
 
 @pytest.fixture

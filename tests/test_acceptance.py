@@ -4,9 +4,14 @@ Each test prints a single summary line with its measured margins; the
 pytest -v status line is the pass/fail verdict.  Scenario constants used
 here (forcing amplitudes, spike geometry, end times) are frozen; changing
 them silently retunes the gate.
+
+Every simulation comes from the session runner ``shared_run`` (conftest.py),
+so each configuration runs once however many criteria read it; a criterion's
+time gate sums the recorded wall times of the runs it reads.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +24,7 @@ from brinkflow import (
     RunConfig,
     ScalarField,
     SimState,
+    SweepTable,
     build_record,
     classify_limit,
     constraint_residuals,
@@ -26,9 +32,7 @@ from brinkflow import (
     evaluate_laws,
     fit_rate,
     make_grid,
-    run_simulation,
     solve_momentum,
-    sweep,
 )
 from brinkflow.diagnostics import CSV_COLUMNS
 from brinkflow.grid import cell_coords, face_coords
@@ -45,31 +49,26 @@ def _compression(n, gamma, beta, f0, epsilon=1e-1):
     )
 
 
-@pytest.fixture(scope="module")
-def sweep_g3b2_dir(tmp_path_factory):
-    return tmp_path_factory.mktemp("sweep_g3b2")
+# the epsilon sweeps of criteria 8a (and 10), 8b and 8c (and 6)
+G3B2 = _compression(256, 3.0, 2.0, 200.0)
+G15B3 = _compression(256, 1.5, 3.0, 200.0)
+G2B3 = _compression(256, 2.0, 3.0, 600.0)
 
 
-@pytest.fixture(scope="module")
-def sweep_g3b2(sweep_g3b2_dir):
-    t0 = time.perf_counter()
-    table = sweep(_compression(256, 3.0, 2.0, 200.0), "epsilon", EPS_VALUES,
-                  outdir=str(sweep_g3b2_dir))
-    return table, time.perf_counter() - t0
+def _completed(shared_run, config):
+    """(final state, records, wall seconds) of a run that must complete."""
+    result, seconds = shared_run(config)
+    if isinstance(result, Exception):
+        raise result   # a failed run fails the criterion
+    return (*result, seconds)
 
 
-@pytest.fixture(scope="module")
-def sweep_g15b3():
-    t0 = time.perf_counter()
-    table = sweep(_compression(256, 1.5, 3.0, 200.0), "epsilon", EPS_VALUES)
-    return table, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="module")
-def sweep_g2b3():
-    t0 = time.perf_counter()
-    table = sweep(_compression(256, 2.0, 3.0, 600.0), "epsilon", EPS_VALUES)
-    return table, time.perf_counter() - t0
+def _sweep(shared_run, config, axis, values):
+    """(sweep table, summed wall seconds of its runs) from the shared runs."""
+    runs = [(v, *shared_run(replace(config, **{axis: v}))) for v in values]
+    table = SweepTable.from_runs(config, axis, (
+        (v, res if isinstance(res, Exception) else res[1]) for v, res, _ in runs))
+    return table, sum(seconds for _, _, seconds in runs)
 
 
 def test_criterion_01_law_identity_battery():
@@ -237,41 +236,39 @@ def test_criterion_05_transport_conservation():
           f"<= 1e-13, L1 halving ratio {ratio:.3f} in [1.7, 2.3], {elapsed:.2f}s")
 
 
-def test_criterion_06_density_bound_contract():
-    t0 = time.perf_counter()
-    cfg = _compression(256, 2.0, 3.0, 600.0, epsilon=1e-2)
-    state, records = run_simulation(cfg)   # raising = criterion failure
+def test_criterion_06_density_bound_contract(shared_run):
+    # the eps = 1e-2 row of the 8c sweep
+    state, records, elapsed = _completed(shared_run, replace(G2B3, epsilon=1e-2))
     max_rho = max(r.max_rho for r in records)
     assert max_rho < 1.0
     assert records[-1].meas_099 > 0.0
     assert state.t == pytest.approx(1.0, abs=1e-10)
-    elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     print(f"[criterion 6] PASS: completed with zero aborts, max rho "
           f"{max_rho:.6f} < 1, congested measure {records[-1].meas_099:.4f} "
           f"> 0 at t_end, {elapsed:.1f}s")
 
 
-def test_criterion_07_energy_ledger():
-    t0 = time.perf_counter()
+def test_criterion_07_energy_ledger(shared_run):
     drifts = {}
+    elapsed = 0.0
     for n in (64, 128):
         cfg = _compression(n, 2.0, 3.0, 5.0, epsilon=1e-2)
-        _, records = run_simulation(cfg)
+        _, records, seconds = _completed(shared_run, cfg)
+        elapsed += seconds
         assert all(r.dissipation >= 0.0 for r in records)
         led = energy_report(records, cfg.law_params(), cfg.make_grid())
         drifts[n] = abs(led.final_drift)
     ratio = drifts[64] / drifts[128]
     assert 1.5 <= ratio <= 2.5
-    elapsed = time.perf_counter() - t0
     assert elapsed < 300.0
     print(f"[criterion 7] PASS: drift {drifts[64]:.2e} -> {drifts[128]:.2e}, "
           f"halving ratio {ratio:.3f} in [1.5, 2.5], dissipation >= 0 "
           f"throughout, {elapsed:.1f}s")
 
 
-def test_criterion_08a_pressure_no_memory_sweep(sweep_g3b2):
-    table, elapsed = sweep_g3b2
+def test_criterion_08a_pressure_no_memory_sweep(shared_run):
+    table, elapsed = _sweep(shared_run, G3B2, "epsilon", EPS_VALUES)
     assert all(r.ok for r in table.rows)
     fit = fit_rate(table, "L1_big_lam")
     assert fit.slope >= 0.517   # (1 + gamma - beta)/gamma - 0.15
@@ -284,8 +281,8 @@ def test_criterion_08a_pressure_no_memory_sweep(sweep_g3b2):
           f"classified PressureNoMemory, sweep {elapsed:.0f}s")
 
 
-def test_criterion_08b_memory_no_pressure_sweep(sweep_g15b3):
-    table, elapsed = sweep_g15b3
+def test_criterion_08b_memory_no_pressure_sweep(shared_run):
+    table, elapsed = _sweep(shared_run, G15B3, "epsilon", EPS_VALUES)
     assert all(r.ok for r in table.rows)
     fit = fit_rate(table, "L1_p")
     assert fit.slope >= 0.10   # (beta - 1 - gamma)/(beta - 1) - 0.15
@@ -298,9 +295,8 @@ def test_criterion_08b_memory_no_pressure_sweep(sweep_g15b3):
           f"classified MemoryNoPressure, sweep {elapsed:.0f}s")
 
 
-def test_criterion_08c_memory_and_pressure_sweep(sweep_g2b3, sweep_g3b2,
-                                                 sweep_g15b3):
-    table, elapsed = sweep_g2b3
+def test_criterion_08c_memory_and_pressure_sweep(shared_run):
+    table, elapsed = _sweep(shared_run, G2B3, "epsilon", EPS_VALUES)
     assert all(r.ok for r in table.rows)
     mp_max = max(r.metrics["max_mp_residual"] for r in table.rows)
     assert mp_max <= 1e-10   # at every step of every run
@@ -311,7 +307,8 @@ def test_criterion_08c_memory_and_pressure_sweep(sweep_g2b3, sweep_g3b2,
     res = classify_limit(table, LawParams(epsilon=1e-2, delta=0.0,
                                           gamma=2.0, beta=3.0))
     assert res.observed is RegimeTag.MEMORY_AND_PRESSURE and res.agrees
-    total = elapsed + sweep_g3b2[1] + sweep_g15b3[1]
+    total = elapsed + sum(shared_run(replace(cfg, epsilon=v))[1]
+                          for cfg in (G3B2, G15B3) for v in EPS_VALUES)
     assert total < 1800.0
     print(f"[criterion 8c] PASS: max mp residual {mp_max:.2e} <= 1e-10, "
           f"excl_big_lam strictly decreasing with slope {fit.slope:.4f} within "
@@ -319,37 +316,35 @@ def test_criterion_08c_memory_and_pressure_sweep(sweep_g2b3, sweep_g3b2,
           f"all three sweeps {total:.0f}s < 30min")
 
 
-def test_criterion_09_delta_sweep_measure_bound():
-    t0 = time.perf_counter()
+def test_criterion_09_delta_sweep_measure_bound(shared_run):
     cfg = RunConfig(
         dim=1, n=512, t_end=0.3, epsilon=1e-2, gamma=2.0, beta=3.0,
         delta=DELTA_VALUES[0], scenario="spike",
         scenario_params={"rho0": 0.6, "amp": 4000.0, "width": 0.008},
     )
-    table = sweep(cfg, "delta", DELTA_VALUES)
+    table, elapsed = _sweep(shared_run, cfg, "delta", DELTA_VALUES)
     assert all(r.ok for r in table.rows)
     meas = [r.metrics["max_meas_1md"] for r in table.rows]
     assert all(m > 0.0 for m in meas)
     assert all(b <= a for a, b in zip(meas, meas[1:]))   # nonincreasing in delta
     fit = fit_rate(table, "max_meas_1md", drop_nonpositive=True)
     assert fit.slope >= 0.6
-    elapsed = time.perf_counter() - t0
     assert elapsed < 600.0
     print(f"[criterion 9] PASS: overshoot measures {['%.4f' % m for m in meas]} "
           f"nonincreasing, fitted exponent {fit.slope:.3f} >= 0.6, {elapsed:.0f}s")
 
 
-def test_criterion_10_incompressibility_shadow(sweep_g3b2, sweep_g3b2_dir):
-    table, _ = sweep_g3b2
+def test_criterion_10_incompressibility_shadow(shared_run):
+    table, _ = _sweep(shared_run, G3B2, "epsilon", EPS_VALUES)
     vals = [r.metrics["max_max_divu_congested"] for r in table.rows]
     for prev, nxt in zip(vals, vals[1:]):
         assert nxt <= 1.1 * prev   # 10% slack on consecutive values
     # rows whose congested set {rho >= 0.99} is ever non-empty; where it
     # stays empty, max |div u| over it is 0 and the check above is vacuous
-    col = CSV_COLUMNS.index("meas_099")
     congested = sum(
-        bool(np.any(np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, col] > 0.0))
-        for path in sorted(sweep_g3b2_dir.glob("run_*/diagnostics.csv"))
+        any(r.meas_099 > 0.0
+            for r in _completed(shared_run, replace(G3B2, epsilon=v))[1])
+        for v in EPS_VALUES
     )
     print(f"[criterion 10] PASS: max |div u| over congested cells "
           f"{['%.3g' % v for v in vals]} monotone within 10% slack; congested "
@@ -364,14 +359,15 @@ def _rotation_squeeze(n, f0, t_end):
     )
 
 
-def test_criterion_11_rotation_squeeze_2d():
-    t0 = time.perf_counter()
+def test_criterion_11_rotation_squeeze_2d(shared_run):
     # (a) energy ledger with the curl term active: the drift halves under
     # refinement and the a priori bound holds
     drifts = {}
+    elapsed = 0.0
     for n in (32, 64):
         cfg = _rotation_squeeze(n, 40.0, 0.3)
-        _, records = run_simulation(cfg)
+        _, records, seconds = _completed(shared_run, cfg)
+        elapsed += seconds
         assert all(r.dissipation >= 0.0 for r in records)
         led = energy_report(records, cfg.law_params(), cfg.make_grid())
         assert led.bound_holds
@@ -382,7 +378,8 @@ def test_criterion_11_rotation_squeeze_2d():
     # (b) strong squeeze: a congested set forms, rho stays below 1, mass is
     # conserved and the flux identity holds at every step
     cfg = _rotation_squeeze(32, 300.0, 1.0)
-    state, records = run_simulation(cfg)
+    state, records, seconds = _completed(shared_run, cfg)
+    elapsed += seconds
     assert state.t == pytest.approx(1.0, abs=1e-10)
     assert records[-1].meas_099 > 0.0
     table = np.array([r.csv_values() for r in records], dtype=float)
@@ -395,7 +392,6 @@ def test_criterion_11_rotation_squeeze_2d():
     bound = 1e-8 * (1.0 + evaluate_laws(col["max_rho"], cfg.law_params()).p)
     flux_margin = float(np.max(col["flux_residual"] / bound))
     assert flux_margin <= 1.0
-    elapsed = time.perf_counter() - t0
     assert elapsed < 120.0
     print(f"[criterion 11] PASS: 2D drift {drifts[32]:.2e} -> {drifts[64]:.2e}, "
           f"halving ratio {ratio:.3f} in [1.5, 2.5], bound holds; squeeze max rho "

@@ -126,6 +126,13 @@ def test_simulate_config_directory_is_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_simulate_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config {path} is not UTF-8" in capsys.readouterr().err
+
+
 def test_simulate_bad_key_is_config_error(tmp_path):
     cfg = write_cfg(tmp_path, GOOD_CFG + "wobble = 3\n")
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
@@ -294,6 +301,7 @@ def test_fit_missing_table(tmp_path):
 MALFORMED_TABLES = {
     "value": lambda text: text.replace("\n0.10000000000000001,ok,", "\nabc,ok,"),
     "scenario_param": lambda text: text.replace("\nvalue,", "\n## scenario.f0=abc\nvalue,"),
+    "law_header": lambda text: text.replace("\n# gamma=2\n", "\n# gamma=abc\n"),
     "no_value_column": lambda text: text.replace("\nvalue,", "\nvalu,"),
 }
 
@@ -308,6 +316,8 @@ def test_fit_malformed_table_is_config_error(tmp_path, capsys, case):
     with open(path, "w") as fh:
         fh.write(broken)
     assert main(["fit", "--table", path, "--metric", "L1_p"]) == 2
+    assert f"sweep table {path}" in capsys.readouterr().err
+    assert main(["classify", "--table", path]) == 2
     assert f"sweep table {path}" in capsys.readouterr().err
 
 

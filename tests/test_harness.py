@@ -27,6 +27,7 @@ from brinkflow import (
     FitDegenerate,
     RegimeTag,
     RunConfig,
+    SolveReport,
     SolverDiverged,
     SweepDegenerate,
     SweepRow,
@@ -882,6 +883,22 @@ def test_sweep_runs_and_aggregates(tmp_path):
     assert fit.slope == pytest.approx(1.0, abs=1e-9)
     res = classify_limit(table, cfg.law_params())
     assert res.observed is RegimeTag.MEMORY_AND_PRESSURE
+
+
+def test_from_runs_builds_the_sweep_table(tmp_path):
+    # records in hand give the table, and the file, that sweep writes
+    cfg = parse_config(BASE_TEXT)
+    values = [1e-2, 1e-3, 1e-4]
+    table = sweep(cfg, "epsilon", values, outdir=str(tmp_path / "sweep"))
+    runs = [(v, run_simulation(dataclasses.replace(cfg, epsilon=v))[1]) for v in values]
+    built = SweepTable.from_runs(cfg, "epsilon", runs)
+    assert built == table
+    built.save(tmp_path / "sweep.csv")
+    assert ((tmp_path / "sweep.csv").read_bytes()
+            == (tmp_path / "sweep" / "sweep.csv").read_bytes())
+    stall = SolverDiverged("forced stall", report=SolveReport(1, 1.0, False))
+    failed = SweepTable.from_runs(cfg, "epsilon", runs + [(1e-5, stall)])
+    assert failed.rows == table.rows + [SweepRow(1e-5, "failed:SolverDiverged", {})]
 
 
 def test_sweep_header_holds_config_keys(tmp_path):
