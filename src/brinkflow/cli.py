@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import os
 import sys
 
@@ -44,18 +45,6 @@ from .harness import (
     write_report,
 )
 from .laws import LawParams, constraint_residuals, evaluate_laws, regime
-
-_CLASSIFY_HELP = """\
-Decision rules, applied in order to an epsilon-sweep table (final-time
-columns, log-log slopes on the positive subset):
-  1. slope(L1_big_lam) >= 0.2 and slope(L1_p) < 0.1  -> PressureNoMemory
-  2. slope(L1_p) >= 0.2 and slope(L1_big_lam) < 0.1  -> MemoryNoPressure
-  3. max mp_residual <= 1e-10 over all runs and steps, and both exclusion
-     slopes >= 0.2                                   -> MemoryAndPressure
-The thresholds (0.2 decay, 0.1 no-decay, 1e-10 identity) are fixed choices
-of this tool.  If no rule fires the verdict is Unclassifiable.
-"""
-
 
 def _eprint(*args):
     print(*args, file=sys.stderr)
@@ -302,7 +291,7 @@ def build_parser():
     p = sub.add_parser(
         "classify",
         help="stiff-limit regime verdict from an epsilon-sweep table",
-        description=_CLASSIFY_HELP,
+        description=inspect.getdoc(classify_limit),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("--table", required=True)

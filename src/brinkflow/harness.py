@@ -87,7 +87,7 @@ from .grid import (
     make_grid,
     write_snapshot,
 )
-from .laws import LawParams, RegimeTag, evaluate_laws, regime
+from .laws import LawParams, RegimeTag, evaluate_laws, limit_exponents, regime
 # perfbench/tracing.py wraps this binding; keep it importable from here
 from .laws import pressure_derivative  # noqa: F401
 from .momentum import solve_momentum
@@ -641,9 +641,7 @@ def fit_rate(table, metric, drop_nonpositive=False):
     return FitResult(float(slope), float(intercept), r2, len(xs))
 
 
-_DECAY_SLOPE = 0.2
-_FLAT_SLOPE = 0.1
-_MP_TOL = 1e-10
+_SLOPE_TOL = 0.1
 
 
 @dataclass(frozen=True)
@@ -667,15 +665,12 @@ class ClassificationResult:
 def classify_limit(table, params):
     """Classify the stiff-limit regime from an epsilon-sweep table.
 
-    Decision rules, in order (slopes fitted on final-time columns, positive
-    subset):
-      1. L1_big_lam decays (slope >= 0.2) and L1_p does not (slope < 0.1)
-         -> PressureNoMemory
-      2. L1_p decays (slope >= 0.2) and L1_big_lam does not
-         -> MemoryNoPressure
-      3. mp_residual <= 1e-10 throughout (max over time and runs) and both
-         exclusion columns decay -> MemoryAndPressure
-    Raises Unclassifiable (with the evidence attached) when no rule fires.
+    Fits the slopes of L1_p, L1_big_lam, excl_p and excl_big_lam against
+    epsilon (final-time columns, positive rows) and reads the regime whose
+    column of laws.limit_exponents(params) lies closest to them, by the
+    largest absolute deviation; a tie goes to laws.regime(params).  The
+    verdict is Unclassifiable when the closest column lies more than 0.1
+    away or a slope cannot be fitted.
     """
     if table.axis != "epsilon":
         raise ConfigError(f"classification requires an epsilon sweep, got axis '{table.axis}'")
@@ -683,42 +678,31 @@ def classify_limit(table, params):
     if len(ok) < 3:
         raise SweepDegenerate(f"need at least 3 successful rows to classify, have {len(ok)}")
 
-    def slope_of(metric):
+    columns = limit_exponents(params)
+    expected = regime(params)
+    slopes = {}
+    for metric in columns[expected]:
         try:
-            return fit_rate(table, metric, drop_nonpositive=True).slope
+            slopes[metric] = fit_rate(table, metric, drop_nonpositive=True).slope
         except FitDegenerate:
-            return math.nan   # compares False against every threshold
-
-    s_p = slope_of("L1_p")
-    s_lam = slope_of("L1_big_lam")
-    s_excl_p = slope_of("excl_p")
-    s_excl_lam = slope_of("excl_big_lam")
-    mp_max = max(r.metrics["max_mp_residual"] for r in ok)
+            slopes[metric] = math.nan   # np.max below keeps it: within no tolerance
+    deviation = {tag: float(np.max([abs(slopes[m] - e) for m, e in columns[tag].items()]))
+                 for tag in RegimeTag}
+    observed = min(RegimeTag, key=lambda tag: (deviation[tag], tag is not expected))
 
     evidence = {
-        "slope_L1_p": s_p,
-        "slope_L1_big_lam": s_lam,
-        "slope_excl_p": s_excl_p,
-        "slope_excl_big_lam": s_excl_lam,
-        "mp_residual_max": mp_max,
-        "decay_threshold": _DECAY_SLOPE,
-        "flat_threshold": _FLAT_SLOPE,
+        **{f"slope_{m}": s for m, s in slopes.items()},
+        "mp_residual_max": max(r.metrics["max_mp_residual"] for r in ok),
+        **{f"predicted_{m}": e for m, e in columns[expected].items()},
+        "deviation": deviation[observed],
+        "slope_tol": _SLOPE_TOL,
     }
-
-    observed = None
-    if s_lam >= _DECAY_SLOPE and s_p < _FLAT_SLOPE:
-        observed = RegimeTag.PRESSURE_NO_MEMORY
-    elif s_p >= _DECAY_SLOPE and s_lam < _FLAT_SLOPE:
-        observed = RegimeTag.MEMORY_NO_PRESSURE
-    elif mp_max <= _MP_TOL and s_excl_p >= _DECAY_SLOPE and s_excl_lam >= _DECAY_SLOPE:
-        observed = RegimeTag.MEMORY_AND_PRESSURE
-    if observed is None:
+    if not deviation[observed] <= _SLOPE_TOL:
         raise Unclassifiable(
-            "no classification rule fired; evidence: "
+            f"no regime's exponents lie within {_SLOPE_TOL} of the slopes; evidence: "
             + ", ".join(f"{k}={v}" for k, v in evidence.items()),
             evidence=evidence,
         )
-    expected = regime(params)
     return ClassificationResult(observed, expected, observed is expected, evidence)
 
 

@@ -23,9 +23,28 @@ each law continues with polynomial growth (continuously at the junction), so
 densities slightly above 1 remain admissible.  ``delta = 0`` selects the
 exact singular laws, defined only for ``rho < 1``.
 
-The small-parameter structure is classified by the sign of ``1 + gamma -
-beta``: in the stiff limit ``eps -> 0`` the pressure survives, the memory
-field survives, or both do (see ``regime``).
+The small-parameter structure is classified by the sign of ``s = 1 + gamma
+- beta``: in the stiff limit ``eps -> 0`` the pressure survives, the memory
+field survives, or both do (see ``regime``).  ``limit_exponents`` predicts
+how the sweep metrics scale.  With p ~ eps**a and big_lam ~ eps**b on the
+congested set, R2 and R3 of ``constraint_residuals`` give
+
+    L1_p ~ eps**a,  excl_p ~ eps**(1/gamma + (gamma-1)/gamma * a),
+    L1_big_lam ~ eps**b,  excl_big_lam ~ eps**(1/(beta-1) + (beta-2)/(beta-1) * b),
+
+and R1 turns the O(1) field of each regime into the rate of the other:
+
+    regime                    a              b
+    PressureNoMemory  (s>0)   0              s/gamma
+    MemoryNoPressure  (s<0)   -s/(beta-1)    0
+    MemoryAndPressure (s=0)   0              0
+
+so the three columns coincide at s = 0.  The gap 1 - rho, and with it
+L1(rho_eps - rho_{eps/10}), decays as eps**(1/gamma) when s > 0 and as
+eps**(1/(beta-1)) otherwise.  The table is a scaling heuristic from R1-R3
+checked by measurement (acceptance criteria 8 and 12), not a derivation
+from the eps = 0 limit systems of Perrin & Zatorska (Comm. PDE 40, 2015)
+and Bresch, Necasova & Perrin (J. Ec. polytech. Math. 6, 2019).
 """
 
 from __future__ import annotations
@@ -44,6 +63,7 @@ __all__ = [
     "evaluate_laws",
     "pressure_derivative",
     "regime",
+    "limit_exponents",
     "constraint_residuals",
     "c_beta",
 ]
@@ -203,6 +223,30 @@ def regime(params):
     if s < 0:
         return RegimeTag.MEMORY_NO_PRESSURE
     return RegimeTag.PRESSURE_NO_MEMORY
+
+
+def limit_exponents(params):
+    """The exponent table of the module docstring, with this ``s``.
+
+    Returns ``{tag: {metric: exponent}}`` for every ``RegimeTag`` and the
+    four metrics L1_p, L1_big_lam, excl_p and excl_big_lam, plus the key
+    ``"L1_drho"``: the rate of L1(rho_eps - rho_{eps/10}).
+    """
+    g, b1 = params.gamma, params.beta - 1.0
+    s = 1.0 + params.gamma - params.beta
+    s = 0.0 if abs(s) <= _REGIME_TOL else s   # one column where regime() sees s = 0
+
+    def column(a, b):   # p ~ eps**a and big_lam ~ eps**b; R2 and R3 give excl_*
+        return {"L1_p": a, "L1_big_lam": b,
+                "excl_p": 1.0 / g + (g - 1.0) / g * a,
+                "excl_big_lam": 1.0 / b1 + (b1 - 1.0) / b1 * b}
+
+    return {
+        RegimeTag.PRESSURE_NO_MEMORY: column(0.0, s / g),
+        RegimeTag.MEMORY_NO_PRESSURE: column(-s / b1, 0.0),
+        RegimeTag.MEMORY_AND_PRESSURE: column(0.0, 0.0),
+        "L1_drho": min(1.0 / g, 1.0 / b1),   # 1/gamma exactly when s > 0
+    }
 
 
 def c_beta(beta):

@@ -1,4 +1,4 @@
-"""Acceptance gate: eleven numbered criteria, one test per criterion.
+"""Acceptance gate: twelve numbered criteria, one test per criterion.
 
 Each test prints a single summary line with its measured margins; the
 pytest -v status line is the pass/fail verdict.  Scenario constants used
@@ -31,7 +31,9 @@ from brinkflow import (
     energy_report,
     evaluate_laws,
     fit_rate,
+    limit_exponents,
     make_grid,
+    regime,
     solve_momentum,
 )
 from brinkflow.diagnostics import CSV_COLUMNS
@@ -267,31 +269,35 @@ def test_criterion_07_energy_ledger(shared_run):
           f"throughout, {elapsed:.1f}s")
 
 
+def _table_exponent(config, tag, metric):
+    return limit_exponents(config.law_params())[tag][metric]
+
+
 def test_criterion_08a_pressure_no_memory_sweep(shared_run):
     table, elapsed = _sweep(shared_run, G3B2, "epsilon", EPS_VALUES)
     assert all(r.ok for r in table.rows)
+    want = _table_exponent(G3B2, RegimeTag.PRESSURE_NO_MEMORY, "L1_big_lam")
     fit = fit_rate(table, "L1_big_lam")
-    assert fit.slope >= 0.517   # (1 + gamma - beta)/gamma - 0.15
-    assert abs(fit.slope - 2.0 / 3.0) <= 0.05
-    res = classify_limit(table, LawParams(epsilon=1e-2, delta=0.0,
-                                          gamma=3.0, beta=2.0))
+    assert fit.slope >= want - 0.15
+    assert abs(fit.slope - want) <= 0.05
+    res = classify_limit(table, G3B2.law_params())
     assert res.observed is RegimeTag.PRESSURE_NO_MEMORY and res.agrees
-    print(f"[criterion 8a] PASS: slope(L1_big_lam) = {fit.slope:.4f} >= 0.517 and "
-          f"within 0.05 of 2/3, "
+    print(f"[criterion 8a] PASS: slope(L1_big_lam) = {fit.slope:.4f} >= "
+          f"{want - 0.15:.4f} and within 0.05 of the table's {want:.4f}, "
           f"classified PressureNoMemory, sweep {elapsed:.0f}s")
 
 
 def test_criterion_08b_memory_no_pressure_sweep(shared_run):
     table, elapsed = _sweep(shared_run, G15B3, "epsilon", EPS_VALUES)
     assert all(r.ok for r in table.rows)
+    want = _table_exponent(G15B3, RegimeTag.MEMORY_NO_PRESSURE, "L1_p")
     fit = fit_rate(table, "L1_p")
-    assert fit.slope >= 0.10   # (beta - 1 - gamma)/(beta - 1) - 0.15
-    assert abs(fit.slope - 0.25) <= 0.05
-    res = classify_limit(table, LawParams(epsilon=1e-2, delta=0.0,
-                                          gamma=1.5, beta=3.0))
+    assert fit.slope >= want - 0.15
+    assert abs(fit.slope - want) <= 0.05
+    res = classify_limit(table, G15B3.law_params())
     assert res.observed is RegimeTag.MEMORY_NO_PRESSURE and res.agrees
-    print(f"[criterion 8b] PASS: slope(L1_p) = {fit.slope:.4f} >= 0.10 and "
-          f"within 0.05 of 1/4, "
+    print(f"[criterion 8b] PASS: slope(L1_p) = {fit.slope:.4f} >= "
+          f"{want - 0.15:.4f} and within 0.05 of the table's {want:.4f}, "
           f"classified MemoryNoPressure, sweep {elapsed:.0f}s")
 
 
@@ -302,17 +308,17 @@ def test_criterion_08c_memory_and_pressure_sweep(shared_run):
     assert mp_max <= 1e-10   # at every step of every run
     excl = [r.metrics["final_excl_big_lam"] for r in table.rows]
     assert all(b < a for a, b in zip(excl, excl[1:]))
+    want = _table_exponent(G2B3, RegimeTag.MEMORY_AND_PRESSURE, "excl_big_lam")
     fit = fit_rate(table, "excl_big_lam")
-    assert abs(fit.slope - 0.5) <= 0.05
-    res = classify_limit(table, LawParams(epsilon=1e-2, delta=0.0,
-                                          gamma=2.0, beta=3.0))
+    assert abs(fit.slope - want) <= 0.05
+    res = classify_limit(table, G2B3.law_params())
     assert res.observed is RegimeTag.MEMORY_AND_PRESSURE and res.agrees
     total = elapsed + sum(shared_run(replace(cfg, epsilon=v))[1]
                           for cfg in (G3B2, G15B3) for v in EPS_VALUES)
     assert total < 1800.0
     print(f"[criterion 8c] PASS: max mp residual {mp_max:.2e} <= 1e-10, "
           f"excl_big_lam strictly decreasing with slope {fit.slope:.4f} within "
-          f"0.05 of 1/2, classified MemoryAndPressure; "
+          f"0.05 of the table's {want:.4f}, classified MemoryAndPressure; "
           f"all three sweeps {total:.0f}s < 30min")
 
 
@@ -398,3 +404,51 @@ def test_criterion_11_rotation_squeeze_2d(shared_run):
           f"{max_rho:.6f} < 1, congested measure {records[-1].meas_099:.4f} > 0, "
           f"mass drift {mass_drift:.1e} <= 1e-12, flux residual at "
           f"{flux_margin:.2f} of its bound, {elapsed:.1f}s")
+
+
+# criterion 12: the exponent table on both sides of s = 1 + gamma - beta = 0,
+# the near-boundary pairs (2.2, 3) and (2, 3.2) included
+TABLE_PAIRS = [(3.0, 2.0), (4.0, 2.0), (4.0, 3.0), (2.2, 3.0),
+               (2.0, 3.0), (2.0, 3.2), (1.5, 3.0), (2.0, 5.0)]
+
+
+def test_criterion_12_exponent_table(shared_run):
+    worst_slope = worst_rate = elapsed = 0.0
+    tables, rates = {}, {}
+    for gamma, beta in TABLE_PAIRS:
+        cfg = _compression(64, gamma, beta, 200.0 if beta == 2.0 else 600.0)
+        params = cfg.law_params()
+        exponents = limit_exponents(params)
+        # (a) every slope lies within 0.05 of the column of regime(params)
+        table, _ = _sweep(shared_run, cfg, "epsilon", EPS_VALUES)
+        tables[gamma, beta] = table
+        for metric, want in exponents[regime(params)].items():
+            dev = abs(fit_rate(table, metric).slope - want)
+            assert dev <= 0.05, (gamma, beta, metric)
+            worst_slope = max(worst_slope, dev)
+        # (b) the classifier agrees
+        res = classify_limit(table, params)
+        assert res.agrees and res.observed is regime(params), (gamma, beta)
+        # (c) the density rate: L1(rho_eps - rho_{eps/10}) at t_end (unit length)
+        runs = [_completed(shared_run, replace(cfg, epsilon=v))
+                for v in EPS_VALUES + [1e-5]]
+        elapsed += sum(seconds for _, _, seconds in runs)
+        gaps = [np.mean(np.abs(a.rho.data - b.rho.data))
+                for (a, _, _), (b, _, _) in zip(runs, runs[1:])]
+        rates[gamma, beta] = np.polyfit(np.log(EPS_VALUES), np.log(gaps), 1)[0]
+        dev = abs(rates[gamma, beta] - exponents["L1_drho"])
+        assert dev <= 0.05, (gamma, beta)
+        worst_rate = max(worst_rate, dev)
+    # the rate is not 1/gamma alone where memory holds the block
+    for gamma, beta in ((1.5, 3.0), (2.0, 5.0)):
+        assert abs(rates[gamma, beta] - 1.0 / gamma) > 0.15, (gamma, beta)
+    # the (2, 3.2) sweep read with the parameters (2.2, 3) is a disagreement
+    wrong = classify_limit(tables[2.0, 3.2], _compression(64, 2.2, 3.0, 600.0).law_params())
+    assert not wrong.agrees
+    assert elapsed < 60.0
+    print(f"[criterion 12] PASS: {len(TABLE_PAIRS)} pairs, every slope within "
+          f"{worst_slope:.3f} <= 0.05 of the table and classified as regime() "
+          f"predicts; density rates {', '.join(f'{r:.3f}' for r in rates.values())} "
+          f"within {worst_rate:.3f} <= 0.05 of the table, > 0.15 from 1/gamma on "
+          f"(1.5, 3) and (2, 5); (2, 3.2) read as (2.2, 3) gives "
+          f"{wrong.observed.value}, a disagreement; {elapsed:.1f}s")

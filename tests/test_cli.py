@@ -6,14 +6,18 @@ disagreement under --expect-theory.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 from brinkflow import SWEEP_METRICS, SweepRow, SweepTable
-from brinkflow import LawParams, RunConfig, load_config
+from brinkflow import (
+    LawParams, RegimeTag, RunConfig, classify_limit, limit_exponents, load_config,
+)
 from brinkflow.cli import build_parser, main
 from brinkflow.cli import _params_from_table
+from brinkflow.harness import _SLOPE_TOL
 
 GOOD_CFG = """
 dim = 1
@@ -36,6 +40,19 @@ beta = 3.0
 scenario = compression
 scenario.f0 = 50.0
 snapshot_every = 0.02
+"""
+
+# a compression that congests, so its epsilon sweep feels the stiff limit
+CONGESTING_CFG = """
+dim = 1
+n = 64
+t_end = 1.0
+epsilon = 1e-1
+gamma = 2.0
+beta = 3.0
+scenario = compression
+scenario.rho0 = 0.6
+scenario.f0 = 600.0
 """
 
 SPIKE_CFG = """
@@ -93,12 +110,17 @@ def test_help_exits_zero(capsys):
     assert exc_info.value.code == 0
 
 
-def test_classify_help_documents_thresholds():
+def test_classify_help_documents_thresholds(capsys):
     parser = build_parser()
-    # the decision thresholds are part of the interface contract
     text = parser.format_help()
     for sub in ("simulate", "sweep", "verify-laws", "fit", "classify"):
         assert sub in text
+    # the decision rule is part of the interface contract; its one text is
+    # the docstring of classify_limit, which states the tolerance
+    with pytest.raises(SystemExit):
+        main(["classify", "--help"])
+    assert inspect.getdoc(classify_limit) in capsys.readouterr().out
+    assert f"more than {_SLOPE_TOL}" in inspect.getdoc(classify_limit)
 
 
 def test_simulate_success(tmp_path, capsys):
@@ -192,10 +214,10 @@ def test_simulate_congestion_overflow_exit_code(tmp_path, capsys):
 
 
 def test_sweep_success_and_agreement(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, GOOD_CFG)
+    cfg = write_cfg(tmp_path, CONGESTING_CFG)
     out = str(tmp_path / "sweepout")
     rc = main(["sweep", "--config", cfg, "--axis", "epsilon",
-               "--values", "1e-2,1e-3,1e-4", "--out", out, "--expect-theory"])
+               "--values", "1e-1,1e-2,1e-3,1e-4", "--out", out, "--expect-theory"])
     assert rc == 0
     captured = capsys.readouterr().out
     assert "classification:" in captured
@@ -205,8 +227,8 @@ def test_sweep_success_and_agreement(tmp_path, capsys):
 
 
 def test_sweep_disagreement_exit_code(tmp_path):
-    # uniform-density runs always look like the joint regime; exponents that
-    # predict PressureNoMemory must make --expect-theory fail
+    # a uniform density does not feel epsilon: every slope is 1, no regime's
+    # exponents match, and --expect-theory must fail
     cfg = write_cfg(tmp_path, GOOD_CFG.replace("gamma = 2.0", "gamma = 3.0")
                                       .replace("beta = 3.0", "beta = 2.0"))
     out = str(tmp_path / "sweepout")
@@ -321,9 +343,14 @@ def test_fit_malformed_table_is_config_error(tmp_path, capsys, case):
     assert f"sweep table {path}" in capsys.readouterr().err
 
 
+def power_laws(gamma, beta, tag):
+    """metric_fn for save_table: the ``tag`` column of the exponent table."""
+    column = limit_exponents(LawParams(epsilon=1e-2, delta=0.0, gamma=gamma, beta=beta))[tag]
+    return lambda v: {m: v**e for m, e in column.items()}
+
+
 def test_classify_agreement(tmp_path, capsys):
-    path = save_table(tmp_path, lambda v: {"L1_big_lam": v**0.7, "L1_p": 1.0,
-                                           "mp_residual": 1.0},
+    path = save_table(tmp_path, power_laws(3.0, 2.0, RegimeTag.PRESSURE_NO_MEMORY),
                       gamma=3.0, beta=2.0)
     rc = main(["classify", "--table", path, "--expect-theory"])
     assert rc == 0
@@ -331,9 +358,8 @@ def test_classify_agreement(tmp_path, capsys):
 
 
 def test_classify_disagreement(tmp_path):
-    path = save_table(tmp_path, lambda v: {"L1_big_lam": v**0.7, "L1_p": 1.0,
-                                           "mp_residual": 1.0},
-                      gamma=2.0, beta=3.0)
+    path = save_table(tmp_path, power_laws(3.0, 2.0, RegimeTag.MEMORY_AND_PRESSURE),
+                      gamma=3.0, beta=2.0)
     assert main(["classify", "--table", path]) == 0
     assert main(["classify", "--table", path, "--expect-theory"]) == 5
 
@@ -348,8 +374,9 @@ def test_classify_hand_written_table_takes_run_config_defaults(tmp_path, monkeyp
                                                                capsys):
     # a table whose header omits delta, mu and r classifies with the values
     # RunConfig would give those keys
+    metrics = power_laws(3.0, 2.0, RegimeTag.PRESSURE_NO_MEMORY)
     rows = "\n".join(f"{v:g},ok," + ",".join(
-        f"{v**0.7 if name == 'L1_big_lam' else 1.0:.17g}"
+        f"{metrics(v).get(name, 1.0):.17g}"
         for name in SWEEP_METRICS for _ in range(2)) for v in (1e-1, 1e-2, 1e-3, 1e-4))
     cols = ",".join(f"{p}_{name}" for name in SWEEP_METRICS for p in ("final", "max"))
     path = tmp_path / "hand.csv"

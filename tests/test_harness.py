@@ -38,6 +38,7 @@ from brinkflow import (
     classify_limit,
     compute_S,
     fit_rate,
+    limit_exponents,
     load_config,
     parse_config,
     read_snapshot,
@@ -406,13 +407,14 @@ def test_package_api_is_pinned():
         "build_scenario", "c_beta", "cell_coords", "classify_limit",
         "compute_S", "constraint_residuals", "curl", "divergence",
         "energy_report", "evaluate_laws", "face_coords", "fit_rate",
-        "gradient", "load_config", "make_grid", "parse_config",
-        "poincare_constant", "pressure_derivative", "read_snapshot", "regime",
-        "resolve_metric", "run_simulation", "solve_momentum",
+        "gradient", "limit_exponents", "load_config", "make_grid",
+        "parse_config", "poincare_constant", "pressure_derivative",
+        "read_snapshot", "regime", "resolve_metric", "run_simulation",
+        "solve_momentum",
         "solve_poisson_zero_mean", "stable_dt", "sweep",
         "write_diagnostics_csv", "write_report", "write_snapshot",
     ]
-    assert len(names) == 60
+    assert len(names) == 61
     assert names == sorted(brinkflow.__all__)
     bound = {}
     exec("from brinkflow import *", bound)
@@ -765,53 +767,78 @@ def test_resolve_metric():
         resolve_metric("enstrophy")
 
 
+def table_of(gamma, beta, tag, **fixed):
+    """A sweep table whose four classifier slopes are exactly the
+    ``tag`` column of the (gamma, beta) exponent table; ``fixed`` metrics
+    replace a power law by a constant."""
+    column = limit_exponents(_params(gamma, beta))[tag]
+    return synth_table(EPS4, lambda v: {**{m: v**e for m, e in column.items()}, **fixed},
+                       params={"gamma": gamma, "beta": beta})
+
+
 def test_classify_pressure_no_memory():
-    # memory decays, pressure survives; rule 1
-    table = synth_table(
-        EPS4, lambda v: {"L1_big_lam": v**0.7, "L1_p": 1.0, "mp_residual": 1e-3},
-        params={"gamma": 3.0, "beta": 2.0})
+    table = table_of(3.0, 2.0, RegimeTag.PRESSURE_NO_MEMORY)
     res = classify_limit(table, _params(3.0, 2.0))
     assert res.observed is RegimeTag.PRESSURE_NO_MEMORY
     assert res.expected is RegimeTag.PRESSURE_NO_MEMORY
     assert res.agrees
-    assert res.evidence["slope_L1_big_lam"] == pytest.approx(0.7, abs=1e-10)
+    assert res.evidence["slope_L1_big_lam"] == pytest.approx(2.0 / 3.0, abs=1e-10)
+    assert res.evidence["predicted_L1_big_lam"] == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert res.evidence["deviation"] < 1e-10
     assert "observed=PressureNoMemory" in res.summary()
 
 
 def test_classify_memory_no_pressure():
-    table = synth_table(EPS4, lambda v: {"L1_p": v**0.5, "L1_big_lam": 2.0})
+    table = table_of(1.5, 3.0, RegimeTag.MEMORY_NO_PRESSURE)
     res = classify_limit(table, _params(1.5, 3.0))
     assert res.observed is RegimeTag.MEMORY_NO_PRESSURE
     assert res.agrees
 
 
 def test_classify_memory_and_pressure():
-    table = synth_table(
-        EPS4,
-        lambda v: {"L1_p": 1.0, "L1_big_lam": 0.5, "mp_residual": 1e-14,
-                   "excl_p": v**0.5, "excl_big_lam": v**0.45})
-    res = classify_limit(table, _params(2.0, 3.0))
-    assert res.observed is RegimeTag.MEMORY_AND_PRESSURE
-    assert res.agrees
+    # at s = 0, or within regime()'s 1e-12 of it, the three columns are one:
+    # the three-way tie goes to regime(), however far L1_p lies from 0
+    for beta in (3.0, 3.0 + 1e-13):
+        columns = limit_exponents(_params(2.0, beta))
+        column = columns[RegimeTag.MEMORY_AND_PRESSURE]
+        assert all(columns[tag] == column for tag in RegimeTag)
+        table = synth_table(EPS4, lambda v: {**{m: v**e for m, e in column.items()},
+                                             "L1_p": v**0.006})
+        res = classify_limit(table, _params(2.0, beta))
+        assert res.observed is RegimeTag.MEMORY_AND_PRESSURE and res.agrees, beta
 
 
-def test_classify_rule_order():
-    # when both the memory-decay rule and the joint-limit rule would fire,
-    # the memory-decay rule is checked first
-    table = synth_table(
-        EPS4,
-        lambda v: {"L1_big_lam": v**0.7, "L1_p": 1.0, "mp_residual": 0.0,
-                   "excl_p": v**0.5, "excl_big_lam": v**0.6})
-    res = classify_limit(table, _params(3.0, 2.0))
-    assert res.observed is RegimeTag.PRESSURE_NO_MEMORY
+def test_classify_tie_goes_to_the_expected_regime():
+    # at (2.2, 3) PressureNoMemory and MemoryAndPressure both predict a flat
+    # L1_p; an L1_p slope of 0.09 is the largest deviation from either, so
+    # the two tie, and MemoryAndPressure comes first in RegimeTag
+    columns = limit_exponents(_params(2.2, 3.0))
+    pnm, mp = columns[RegimeTag.PRESSURE_NO_MEMORY], columns[RegimeTag.MEMORY_AND_PRESSURE]
+    mid = {m: (pnm[m] + mp[m]) / 2 for m in pnm}
+    table = synth_table(EPS4, lambda v: {**{m: v**e for m, e in mid.items()}, "L1_p": v**0.09})
+    res = classify_limit(table, _params(2.2, 3.0))
+    assert res.evidence["deviation"] == pytest.approx(0.09, abs=1e-10)
+    assert res.observed is RegimeTag.PRESSURE_NO_MEMORY and res.agrees
+
+
+@pytest.mark.parametrize("gamma, beta, tag", [
+    (2.2, 3.0, RegimeTag.PRESSURE_NO_MEMORY),
+    (2.0, 3.2, RegimeTag.MEMORY_NO_PRESSURE),
+])
+def test_classify_near_the_boundary(gamma, beta, tag):
+    # |s| = 0.2: the decaying slope is 0.091, and the table still tells the
+    # regime apart from MemoryAndPressure
+    res = classify_limit(table_of(gamma, beta, tag), _params(gamma, beta))
+    assert res.observed is tag and res.agrees
 
 
 def test_classify_disagreement_is_reported():
-    table = synth_table(EPS4, lambda v: {"L1_big_lam": v**0.7, "L1_p": 1.0,
-                                         "mp_residual": 1.0})
-    res = classify_limit(table, _params(2.0, 3.0))
-    assert res.observed is RegimeTag.PRESSURE_NO_MEMORY
-    assert res.expected is RegimeTag.MEMORY_AND_PRESSURE
+    # at (2.2, 3) a flat L1_big_lam lies on the MemoryAndPressure column,
+    # 0.09 from the PressureNoMemory column that regime() predicts
+    table = table_of(2.2, 3.0, RegimeTag.MEMORY_AND_PRESSURE)
+    res = classify_limit(table, _params(2.2, 3.0))
+    assert res.observed is RegimeTag.MEMORY_AND_PRESSURE
+    assert res.expected is RegimeTag.PRESSURE_NO_MEMORY
     assert not res.agrees
 
 
@@ -821,16 +848,30 @@ def test_classify_unclassifiable():
         classify_limit(table, _params(2.0, 3.0))
     ev = exc_info.value.evidence
     assert ev is not None and "slope_L1_p" in ev
+    assert ev["deviation"] == pytest.approx(0.5, abs=1e-10) and ev["slope_tol"] == 0.1
 
 
 def test_classify_zero_pressure_is_unclassifiable():
-    # L1_p = 0 in every row leaves no pressure slope: rule 1 asks for a flat
-    # pressure and must not fire on a missing one
-    table = synth_table(EPS4, lambda v: {"L1_big_lam": v**0.7, "L1_p": 0.0,
-                                         "mp_residual": 1.0})
+    # L1_p = 0 in every row leaves no pressure slope, and a missing slope
+    # matches no column, however well the other three match
+    table = table_of(3.0, 2.0, RegimeTag.PRESSURE_NO_MEMORY, L1_p=0.0)
     with pytest.raises(Unclassifiable) as exc_info:
         classify_limit(table, _params(3.0, 2.0))
     assert np.isnan(exc_info.value.evidence["slope_L1_p"])
+
+
+def test_classify_2d_sweeps():
+    # rotation_squeeze at n = 32: (2, 5) agrees, and the (2, 3.2) sweep read
+    # with the parameters (2.2, 3) lies 0.12 from the nearest column
+    def rotation(gamma, beta):
+        return RunConfig(dim=2, n=32, t_end=1.0, epsilon=1e-1, gamma=gamma, beta=beta,
+                         scenario="rotation_squeeze",
+                         scenario_params={"rho0": 0.6, "f0": 300.0, "rot": 20.0})
+
+    res = classify_limit(sweep(rotation(2.0, 5.0), "epsilon", EPS4), _params(2.0, 5.0))
+    assert res.observed is RegimeTag.MEMORY_NO_PRESSURE and res.agrees
+    with pytest.raises(Unclassifiable):
+        classify_limit(sweep(rotation(2.0, 3.2), "epsilon", EPS4), _params(2.2, 3.0))
 
 
 def test_classify_requires_epsilon_axis_and_rows():
@@ -881,8 +922,10 @@ def test_sweep_runs_and_aggregates(tmp_path):
     # uniform density: L1_p is proportional to epsilon, slope exactly 1
     fit = fit_rate(table, "L1_p")
     assert fit.slope == pytest.approx(1.0, abs=1e-9)
-    res = classify_limit(table, cfg.law_params())
-    assert res.observed is RegimeTag.MEMORY_AND_PRESSURE
+    # the uniform density does not feel epsilon: every slope is 1, far from
+    # every column of the exponent table
+    with pytest.raises(Unclassifiable):
+        classify_limit(table, cfg.law_params())
 
 
 def test_from_runs_builds_the_sweep_table(tmp_path):
@@ -930,9 +973,12 @@ def test_sweep_header_records_scenario_params(tmp_path):
     back = SweepTable.load(tmp_path / "sweep.csv")
     assert back.scenario_params == {"rho0": 0.3} == table.scenario_params
     assert back.params == table.params
-    params = cfg.law_params()
-    assert (classify_limit(back, params).summary()
-            == classify_limit(table, params).summary())
+    def evidence(t):   # uniform density: every slope is 1, so no regime
+        with pytest.raises(Unclassifiable) as exc_info:
+            classify_limit(t, cfg.law_params())
+        return exc_info.value.evidence
+
+    assert evidence(back) == evidence(table)
     assert fit_rate(back, "L1_p") == fit_rate(table, "L1_p")
 
 
@@ -1017,13 +1063,15 @@ def test_sweep_records_solver_stall(tmp_path, stall_momentum):
 
 
 def test_write_report(tmp_path):
-    table = synth_table(EPS4, lambda v: {"L1_big_lam": v**0.7, "L1_p": 1.0,
-                                         "mp_residual": 1e-3})
+    table = table_of(3.0, 2.0, RegimeTag.PRESSURE_NO_MEMORY, mp_residual=1e-3)
     res = classify_limit(table, _params(3.0, 2.0))
     path = tmp_path / "report.txt"
     write_report(path, table, classification=res)
     text = path.read_text()
-    assert "slope[L1_big_lam] = 0.7000" in text
-    assert "observed=PressureNoMemory" in text
+    assert "slope[L1_big_lam] = 0.6667" in text
+    (line,) = [ln for ln in text.splitlines() if ln.startswith("classification: ")]
+    assert "observed=PressureNoMemory expected=PressureNoMemory agrees=True" in line
+    assert "slope_L1_big_lam=0.667" in line and "predicted_L1_big_lam=0.667" in line
+    assert "slope_tol=0.1" in line and "threshold" not in line
     write_report(path, table, error="no rule fired")
     assert "classification failed: no rule fired" in path.read_text()

@@ -6,6 +6,8 @@ quadrature of their integral definitions, which does not share code with the
 closed forms in the package.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -18,6 +20,7 @@ from brinkflow import (
     c_beta,
     constraint_residuals,
     evaluate_laws,
+    limit_exponents,
     pressure_derivative,
     regime,
 )
@@ -182,6 +185,52 @@ def test_regime_classification():
     # boundary tolerance: within 1e-12 counts as the equality case
     assert regime(mk(2.0, 3.0 + 1e-13)) is RegimeTag.MEMORY_AND_PRESSURE
     assert regime(mk(2.0, 3.0 + 1e-9)) is RegimeTag.MEMORY_NO_PRESSURE
+
+
+def test_limit_exponents_closed_forms():
+    mk = lambda g, b: LawParams(epsilon=1.0, delta=0.0, gamma=g, beta=b)
+    pnm = limit_exponents(mk(3.0, 2.0))
+    assert pnm[RegimeTag.PRESSURE_NO_MEMORY] == pytest.approx(
+        {"L1_p": 0.0, "L1_big_lam": 2 / 3, "excl_p": 1 / 3, "excl_big_lam": 1.0}, abs=1e-15)
+    assert pnm["L1_drho"] == pytest.approx(1 / 3, abs=1e-15)
+    mnp = limit_exponents(mk(1.5, 3.0))
+    assert mnp[RegimeTag.MEMORY_NO_PRESSURE] == pytest.approx(
+        {"L1_p": 0.25, "L1_big_lam": 0.0, "excl_p": 0.75, "excl_big_lam": 0.5}, abs=1e-15)
+    assert mnp["L1_drho"] == 0.5
+    # s = 0: the three columns are one, also within regime()'s tolerance
+    mp = limit_exponents(mk(2.0, 3.0))
+    assert all(mp[tag] == {"L1_p": 0.0, "L1_big_lam": 0.0, "excl_p": 0.5, "excl_big_lam": 0.5}
+               for tag in RegimeTag)
+    near = limit_exponents(mk(2.0, 3.0 + 1e-13))
+    assert regime(mk(2.0, 3.0 + 1e-13)) is RegimeTag.MEMORY_AND_PRESSURE
+    assert all(near[tag] == near[RegimeTag.MEMORY_AND_PRESSURE] for tag in RegimeTag)
+
+
+@pytest.mark.parametrize("gamma, beta", [(3.0, 2.0), (2.2, 3.0), (2.0, 3.2), (1.5, 3.0),
+                                         (2.0, 5.0)])
+def test_limit_exponents_follow_from_the_laws(gamma, beta):
+    # hold the field that survives at 1 as eps falls: the laws' own scaling
+    # reproduces the column of regime() and the gap rate
+    eps = np.array([1e-12, 1e-14])
+    params = LawParams(epsilon=1.0, delta=0.0, gamma=gamma, beta=beta)
+    tag = regime(params)
+    if tag is RegimeTag.PRESSURE_NO_MEMORY:
+        q = eps ** (-1.0 / gamma)                           # p = 1
+    else:
+        q = (eps / (beta - 1.0)) ** (-1.0 / (beta - 1.0))   # big_lam -> 1
+    rho = q / (1.0 + q)
+    vals = [evaluate_laws(r, replace(params, epsilon=e)) for e, r in zip(eps, rho)]
+    measured = {
+        "L1_p": [v.p for v in vals], "L1_big_lam": [v.big_lam for v in vals],
+        "excl_p": [(1 - r) * v.p for r, v in zip(rho, vals)],
+        "excl_big_lam": [(1 - r) * v.big_lam for r, v in zip(rho, vals)],
+        "L1_drho": 1 - rho,
+    }
+    table = limit_exponents(params)
+    expected = {**table[tag], "L1_drho": table["L1_drho"]}
+    for metric, (a, b) in measured.items():
+        slope = np.log(b / a) / np.log(eps[1] / eps[0])
+        assert slope == pytest.approx(expected[metric], abs=1e-3), metric
 
 
 def test_domain_errors():
