@@ -106,10 +106,10 @@ class DiagnosticsRecord:
         return [getattr(self, name) for name in CSV_COLUMNS]
 
 
-# The time loop's records are built K steps at a time, K = max(1,
-# _BLOCK_CELLS // cells): a ``RecordBlock`` then buffers at most
-# _BLOCK_CELLS floats (32 kB) per field, 9 + dim fields, about 0.35 MB.
-_BLOCK_CELLS = 4096
+# Records are built K = max(1, _BLOCK_CELLS // cells) steps at a time (4 at
+# 64^2), which spreads a flush's fixed cost: a ``RecordBlock`` buffers
+# _BLOCK_CELLS floats (128 kB) per field, 9 + dim fields, about 1.4 MB.
+_BLOCK_CELLS = 16384
 
 _LAW_FIELDS = tuple(field.name for field in fields(LawValues))
 

@@ -677,6 +677,8 @@ def classify_limit(table, params):
     ok = table.ok_rows()
     if len(ok) < 3:
         raise SweepDegenerate(f"need at least 3 successful rows to classify, have {len(ok)}")
+    if any("max_mp_residual" not in r.metrics for r in ok):
+        raise ConfigError("classification requires the sweep table's max_mp_residual column")
 
     columns = limit_exponents(params)
     expected = regime(params)

@@ -13,28 +13,28 @@ that no contrast in c cancels its pivots.
 
 In 2D the solve goes through the viscous part of the effective flux,
 Fv = c div u with c = 2*mu + lam.  Write b = f - grad p and
-H = mu curl^T curl + r, so that A u = H u - grad Fv.  Two exact MAC
-identities, div curl^T = 0 and div grad = Delta_h, give div H = r div, and
-A u = b splits into
+H = mu curl^T curl + r = Helm + mu grad div, Helm = mu (-Delta_h) + r per
+component, so that A u = H u - grad Fv.  The exact MAC identities
+div curl^T = 0 and div grad = Delta_h give (-Delta_h + r/c) Fv = div b and
+u = H^{-1}(b + grad Fv), H being Helm on divergence-free fields and r on
+gradients.  With phi = Delta_h^{-1} div b (mean zero) and Psi = phi + Fv:
 
-    1. (-Delta_h + r/c) Fv = div b,   a scalar SPD system on the cells;
-    2. u = H^{-1}(b + grad Fv) = H^{-1} b + grad(Fv) / r.
+    (-Delta_h + r/c) Psi = (r/c) phi,   u = Helm^{-1}(b - grad phi) + grad(Psi)/r,
 
-Step 1 is solved by conjugate gradients preconditioned with the FFT inverse
-of -Delta_h + mean(r/c); the variable coefficient enters only at zero
-order, so a few iterations suffice however large the contrast in c.  Each
-CG runs to the relative tolerance 1e-3 * _TOL within 50 * n * dim
-iterations.
-H has constant coefficients, so step 2 is one exact FFT solve: on the
-Fourier mode with grad symbol a, H^{-1} = P/r + (I - P)/(mu |a|^2 + r)
-with P = a a^H / |a|^2 (and 1/r on the zero mode).
+so grad phi/r and grad Fv/r, which cancel where c is large, are never
+formed apart.  Psi comes from CG preconditioned with the inverse of
+-Delta_h + mean(r/c), where c enters only at zero order, run to the
+relative tolerance 1e-3 * _TOL within 50 * n * dim iterations.
 
-``solve_poisson_zero_mean`` inverts -Delta_h on the mean-zero subspace with
-the FFT, which diagonalizes the constant-coefficient periodic operator: mode
-k has eigenvalue sum_axes (4/dx^2) sin^2(pi k_a/n).  ``compute_S`` produces
-the zero-mean part S of the effective viscous flux F = (2*mu+lam) div u - p
-directly from force and drag, -Delta_h S = div(f - r*u), so F = mean(F) + S
-holds exactly at the discrete level: an FFT solve in 2D, a prefix sum in 1D.
+Every constant-coefficient inverse is applied in the discrete Hartley
+basis h[j, k] = (cos t + sin t)/sqrt(n), t = 2 pi j k/n (Bracewell, J.
+Opt. Soc. Am. 73, 1983): real, symmetric, its own inverse, cached per grid
+and diagonalising -Delta_h.  Its products cost O(n^3) per 2D field, less
+than numpy.fft up to n = 64.  ``solve_poisson_zero_mean`` inverts -Delta_h
+on the mean-zero subspace in it.  ``compute_S`` gives the zero-mean part S
+of F = (2*mu+lam) div u - p from force and drag, -Delta_h S =
+div(f - r*u), so F = mean(F) + S holds exactly at the discrete level: an
+eigenbasis solve in 2D, a prefix sum in 1D.
 
 The solves take and return ``FaceVectorField.components`` as it is, and
 ``linearised_bulk`` adds the linearised pressure's dt*rho*p'(rho) to lam.
@@ -181,81 +181,75 @@ def apply_momentum_operator(u, coef, mu, r):
     return FaceVectorField(u.grid, _apply_momentum(u.components, coef, mu, r, u.grid.dx))
 
 
-@dataclass(frozen=True)
-class _FourierSymbols:
-    """Symbols of the periodic MAC operators on the ``rfftn`` modes of a grid.
-
-    lap  : eigenvalues of -Delta_h, sum_axes (4/dx^2) sin^2(pi k_a/n), with
-           the zero mode (eigenvalue 0) stored as 1 so that lap can divide
-    unit : 2D only, a / |a| stacked on axis 0, a_j = (1 - exp(-2 pi i k_j/n))/dx
-           being the symbol of grad_array; 0 on the zero mode.  The projector
-           onto gradients is P = unit unit^H.
-    """
-
-    lap: np.ndarray
-    unit: np.ndarray | None
-
-
 @functools.lru_cache(maxsize=8)
-def _fourier_symbols(dim, n, dx):
-    """The grid's ``_FourierSymbols``, built once per (dim, n, dx); read-only."""
-    zero_mode = (0,) * dim
-    lam_1d = (4.0 / dx**2) * np.sin(np.pi * np.arange(n) / n) ** 2
-    # rfftn keeps modes 0..n//2 along the last axis
-    lap = lam_1d[: n // 2 + 1].copy()
-    unit = None
-    if dim == 2:
-        lap = lam_1d[:, None] + lap[None, :]
-        k0 = np.arange(n)[:, None]
-        k1 = np.arange(n // 2 + 1)[None, :]
-        norm = np.sqrt(lap)   # |a|, still 0 on the zero mode
-        norm[zero_mode] = 1.0
-        unit = np.array([(1.0 - np.exp(-2j * np.pi * k / n)) / dx / norm for k in (k0, k1)])
-        unit.setflags(write=False)
-    lap[zero_mode] = 1.0
-    lap.setflags(write=False)
-    return _FourierSymbols(lap, unit)
+def _eigenbasis(n, dx):
+    """(h, lam) for n periodic points of spacing dx, built once; read-only.
+
+    h[j, k] = (cos t + sin t) / sqrt(n), t = 2 pi (j k mod n) / n, is the
+    discrete Hartley basis: real, symmetric and its own inverse.  Its column
+    k is an eigenvector of every symmetric periodic stencil, of -Delta_h with
+    eigenvalue lam[k] = (4/dx^2) sin^2(pi k/n).  Valid for odd n too.
+    """
+    k = np.arange(n)
+    theta = (2.0 * np.pi / n) * (np.outer(k, k) % n)
+    h = (np.cos(theta) + np.sin(theta)) / np.sqrt(n)
+    lam = (4.0 / dx**2) * np.sin(np.pi * k / n) ** 2
+    for a in (h, lam):
+        a.setflags(write=False)
+    return h, lam
+
+
+def _neg_laplacian_eigenvalues(grid):
+    """-Delta_h's eigenvalues on the ``_eigenbasis`` modes, ``grid.shape``."""
+    lam = _eigenbasis(grid.n, grid.dx)[1]
+    return lam if grid.dim == 1 else lam[:, None] + lam
+
+
+def _eigen_apply(b, scale, grid):
+    """h scale h over the trailing grid axes of the block b: the operator
+    with eigenvalues ``scale`` (``grid.shape``) on the ``_eigenbasis``.
+
+    Products over equal lines may round apart by their position in a
+    kernel, so a block constant along y, c 1^T, is mapped from c alone to
+    (h scale[:, 0] h c) 1^T, and one constant along x likewise: it comes
+    back constant along the same lines, bit for bit."""
+    h = _eigenbasis(grid.n, grid.dx)[0]
+    if grid.dim == 1:
+        return ((b @ h) * scale) @ h
+    # the first entry against its neighbour along the axis, then the block
+    for axis, step in ((-1, 1), (-2, grid.n)):
+        if b.flat[step] == b.flat[0] and (b == np.take(b, [0], axis=axis)).all():
+            line = np.take(b, 0, axis=axis)
+            line = ((line @ h) * np.take(scale, 0, axis=axis)) @ h
+            return np.broadcast_to(np.expand_dims(line, axis), b.shape).copy()
+    return h @ ((h @ b @ h) * scale) @ h
 
 
 def _flux_reduced_solver(coef, mu, r, grid, inner_reports):
-    """2D momentum solve through the viscous flux; returns a solve for A x = b.
-
-    Each call solves (-Delta_h + r/c) Fv = div b by CG, preconditioned with
-    the Fourier symbol of -Delta_h + mean(r/c), and returns
-    H^{-1} b + grad(Fv)/r (see the module docstring).  The CG reports are
-    appended to ``inner_reports``; one that misses its tolerance within
-    50 * n * dim iterations raises SolverDiverged.  The CG tolerance is
-    1e-3 * _TOL: the momentum residual of the result is
-    grad((c/r) * flux residual), which the contrast in c amplifies.
-    """
-    sym = _fourier_symbols(grid.dim, grid.n, grid.dx)
-    axes = (0, 1)
+    """A solve for A d = r0 in potential form (module docstring); each call
+    appends its CG report to ``inner_reports`` or raises SolverDiverged.  The
+    CG tolerance is 1e-3 * _TOL: the momentum residual of the result is
+    grad((c/r) * flux residual), which the contrast in c amplifies."""
+    lap = _neg_laplacian_eigenvalues(grid)
     shift = r / coef
-    m = float(np.mean(shift))
-    inv_h = 1.0 / (mu * sym.lap + r)
-    inv_h[0, 0] = 1.0 / r
-    proj_gain = 1.0 / r - inv_h   # 0 on the zero mode, where P = 0 too
+    inv_pre = 1.0 / (lap + float(np.mean(shift)))
+    inv_helm = 1.0 / (mu * lap + r)
 
     def flux_op(v):
         s = v.reshape(grid.shape)
         return (_apply_neg_laplacian(s, grid) + shift * s).ravel()
 
-    inv_pre = 1.0 / (sym.lap + m)
-    inv_pre[0, 0] = 1.0 / m
-
     def precond(v):
-        vh = np.fft.rfftn(v.reshape(grid.shape), axes=axes) * inv_pre
-        return np.fft.irfftn(vh, s=grid.shape, axes=axes).ravel()
+        return _eigen_apply(v.reshape(grid.shape), inv_pre, grid).ravel()
 
-    def solve(b):
-        g = div_array(b, grid.dx).ravel()
-        fv, rep = _cg(flux_op, g, 1e-3 * _TOL, 50 * grid.n * grid.dim, precond)
+    def solve(r0):
+        phi = -_poisson_block(div_array(r0, grid.dx)[np.newaxis], grid)[0]
+        psi, rep = _cg(flux_op, (shift * phi).ravel(), 1e-3 * _TOL,
+                       50 * grid.n * grid.dim, precond)
         inner_reports.append(rep)
         _check_converged(rep, "momentum flux CG")
-        bh = np.fft.rfftn(b, axes=(1, 2))
-        pb = proj_gain * (sym.unit[0].conj() * bh[0] + sym.unit[1].conj() * bh[1])
-        x = np.fft.irfftn(inv_h * bh + sym.unit * pb, s=grid.shape, axes=(1, 2))
-        x += grad_array(fv.reshape(grid.shape), grid.dx, grid.dim) / r
+        x = _eigen_apply(r0 - grad_array(phi, grid.dx, grid.dim), inv_helm, grid)
+        x += grad_array(psi.reshape(grid.shape), grid.dx, grid.dim) / r
         return x
 
     return solve
@@ -391,14 +385,13 @@ def _compatible_rhs(g):
     return g - g_mean
 
 
-def _fft_solve(b, grid):
+def _poisson_block(b, grid):
     """Mean-zero s with -Delta_h s = b for a block b of mean-zero rows,
-    ``(K,) + grid.shape``: one FFT over the grid axes of the whole block."""
-    axes = tuple(range(1, grid.dim + 1))
-    vh = np.fft.rfftn(b, axes=axes) / _fourier_symbols(grid.dim, grid.n, grid.dx).lap
-    vh[(slice(None),) + (0,) * grid.dim] = 0.0
-    s = np.fft.irfftn(vh, s=grid.shape, axes=axes)
-    return s - s.mean(axis=axes, keepdims=True)
+    ``(K,) + grid.shape``: one ``_eigen_apply`` over the whole block."""
+    lap = _neg_laplacian_eigenvalues(grid)
+    inv = np.divide(1.0, lap, out=np.zeros_like(lap), where=lap > 0.0)
+    s = _eigen_apply(b, inv, grid)
+    return s - s.mean(axis=tuple(range(1, grid.dim + 1)), keepdims=True)
 
 
 def _check_rows(s, b, grid, what):
@@ -417,7 +410,7 @@ def _check_rows(s, b, grid, what):
 
 
 def solve_poisson_zero_mean(g):
-    """Solve -Delta_h s = g with mean(s) = 0 on the periodic grid, by FFT.
+    """Solve -Delta_h s = g with mean(s) = 0, periodic, in the Hartley basis.
 
     Requires |mean(g)| <= 1e-10 * max|g| (solvability); raises
     CompatibilityError otherwise.  The mean of g is projected out before
@@ -425,8 +418,8 @@ def solve_poisson_zero_mean(g):
     _TOL raises SolverDiverged; it reports 1 iteration (0 for g = 0).
     """
     b = _compatible_rhs(g.data[np.newaxis])
-    s = _fft_solve(b, g.grid)
-    iters, rel = _check_rows(s, b, g.grid, "poisson FFT solve")
+    s = _poisson_block(b, g.grid)
+    iters, rel = _check_rows(s, b, g.grid, "poisson solve")
     return ScalarField._trusted(g.grid, s[0]), SolveReport(iters[0], rel[0], True)
 
 
@@ -444,12 +437,13 @@ def compute_S(rows, f, params):
 
     ``rows`` is a block of K velocities, an array ``(K, dim) + grid.shape``
     (``u.components[np.newaxis]`` for one), and S comes back as an array
-    ``(K,) + grid.shape``.  In 2D S is the FFT solve of
-    ``solve_poisson_zero_mean``.  In 1D, -Delta_h = -div grad and div has
-    the constants as its kernel, so grad S = q = r*u - f - mean(r*u - f)
-    and S is cumsum(dx*q) minus its mean.  Both run the compatibility and
-    residual checks of ``solve_poisson_zero_mean``: 1 iteration per row (0
-    and S = 0 for a zero right-hand side), and SolverDiverged, with no
+    ``(K,) + grid.shape``.  In 2D S is the eigenbasis solve of
+    ``solve_poisson_zero_mean``, one for the whole block.  In 1D,
+    -Delta_h = -div grad and div has the constants as its kernel, so
+    grad S = q = r*u - f - mean(r*u - f) and S is cumsum(dx*q) minus its
+    mean.  Both run the compatibility and residual checks of
+    ``solve_poisson_zero_mean``: 1 iteration per row (0 and S = 0 for a
+    zero right-hand side), and SolverDiverged, with no
     refinement, for a row that misses _TOL.  Returns (S, report), the
     report's ``rows`` holding each velocity's count and ``iterations`` their
     total.
@@ -463,6 +457,6 @@ def compute_S(rows, f, params):
         s = np.cumsum(grid.dx * q, axis=1)
         s -= s.mean(axis=1, keepdims=True)
     else:
-        s = _fft_solve(b, grid)
+        s = _poisson_block(b, grid)
     iters, rel = _check_rows(s, b, grid, "S solve")
     return s, _BlockReport(sum(iters), max(rel), True, tuple(iters))

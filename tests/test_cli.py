@@ -370,6 +370,20 @@ def test_classify_unclassifiable(tmp_path):
     assert main(["classify", "--table", path, "--expect-theory"]) == 5
 
 
+def test_classify_table_without_mp_residual_is_config_error(tmp_path, capsys):
+    # a hand-written table holding only the four fitted columns classifies
+    # nothing: the missing max_mp_residual column is a configuration error
+    metrics = power_laws(3.0, 2.0, RegimeTag.PRESSURE_NO_MEMORY)
+    names = ("L1_p", "L1_big_lam", "excl_p", "excl_big_lam")
+    rows = "\n".join(f"{v:g},ok," + ",".join(f"{metrics(v)[m]:.17g}" for m in names)
+                     for v in (1e-1, 1e-2, 1e-3, 1e-4))
+    path = tmp_path / "four.csv"
+    path.write_text("# axis=epsilon\n# epsilon=0.01\n# gamma=3\n# beta=2\n"
+                    "value,status," + ",".join(f"final_{m}" for m in names) + f"\n{rows}\n")
+    assert main(["classify", "--table", str(path)]) == 2
+    assert "max_mp_residual" in capsys.readouterr().err
+
+
 def test_classify_hand_written_table_takes_run_config_defaults(tmp_path, monkeypatch,
                                                                capsys):
     # a table whose header omits delta, mu and r classifies with the values

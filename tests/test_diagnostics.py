@@ -261,13 +261,13 @@ def _records_digest(records):
 
 
 @pytest.mark.parametrize("cfg", [
-    RunConfig(dim=1, n=64, t_end=0.4, epsilon=1e-2, gamma=2.0, beta=3.0,
+    RunConfig(dim=1, n=64, t_end=1.6, epsilon=1e-2, gamma=2.0, beta=3.0,
               scenario="compression", scenario_params={"rho0": 0.6, "f0": 100.0}),
     # the truncated laws, and a congested set that forms (max rho 1.8)
-    RunConfig(dim=1, n=128, t_end=0.05, epsilon=1e-2, gamma=2.0, beta=3.0, delta=0.05,
+    RunConfig(dim=1, n=128, t_end=0.35, epsilon=1e-2, gamma=2.0, beta=3.0, delta=0.05,
               scenario="spike", scenario_params={"rho0": 0.6, "amp": 4000.0, "width": 0.008}),
-    # 256 cells: the default block holds 16 steps
-    RunConfig(dim=2, n=16, t_end=0.2, epsilon=1e-2, gamma=2.0, beta=3.0,
+    # 256 cells: the default block holds 64 steps
+    RunConfig(dim=2, n=16, t_end=1.0, epsilon=1e-2, gamma=2.0, beta=3.0,
               scenario="rotation_squeeze",
               scenario_params={"rho0": 0.6, "f0": 100.0, "rot": 20.0}),
 ], ids=["1d_compression", "1d_spike_delta", "2d_rotation_squeeze"])

@@ -367,6 +367,29 @@ def test_2d_momentum_solve_stays_fast():
     assert np.mean([r.momentum_iters for r in records]) <= 12
 
 
+@pytest.mark.parametrize("gamma, beta, eps", [(3.0, 2.0, 1e-3), (2.0, 3.0, 1e-2)])
+def test_2d_momentum_solve_runs_one_flux_cg(gamma, beta, eps, monkeypatch):
+    # congested 2D runs whose momentum solves all meet the tolerance on
+    # their first pass: one flux CG per solve, no refinement step
+    calls = {"cg": 0, "solve": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(brinkflow.momentum, "_cg", counting("cg", brinkflow.momentum._cg))
+    monkeypatch.setattr(brinkflow.harness, "solve_momentum",
+                        counting("solve", brinkflow.harness.solve_momentum))
+    cfg = RunConfig(dim=2, n=32, t_end=0.3, epsilon=eps, gamma=gamma, beta=beta,
+                    scenario="rotation_squeeze",
+                    scenario_params={"rho0": 0.6, "f0": 300.0, "rot": 20.0})
+    _, records = run_simulation(cfg)
+    assert calls["solve"] == len(records) > 50
+    assert calls["cg"] == calls["solve"]
+
+
 def test_benchmark_tracer_bindings_exist():
     # perfbench/tracing.py wraps these module attributes by name; a binding
     # dropped from a module breaks every traced benchmark run
@@ -559,7 +582,7 @@ def test_stiff_run_keeps_flux_identity():
 ])
 def test_2d_path_replays_1d_compression(gamma, beta, eps, f0):
     # compression is invariant in y, so the 2D solves (flux-reduced CG and
-    # FFT S) must reproduce the 1D run: same steps, u_y = 0, rho constant
+    # eigenbasis S) must reproduce the 1D run: same steps, u_y = 0, rho constant
     # along y and equal to the 1D rho to round-off
     runs = {}
     for dim in (1, 2):

@@ -209,7 +209,7 @@ def test_compute_s_continuum_mode():
 
 
 def test_compute_s_1d_prefix_sum_matches_fft_solve(rng):
-    # in 1D S is a prefix sum; it must agree with the FFT solve of
+    # in 1D S is a prefix sum; it must agree with the eigenbasis solve of
     # -Lap S = div(f - r u) to round-off and have zero mean
     g = make_grid(1, 64)
     u = FaceVectorField(g, (rng.standard_normal(g.shape),))
@@ -248,6 +248,43 @@ def test_neg_laplacian_stencil_equals_div_grad(dim, n, rng):
         got = brinkflow.momentum._apply_neg_laplacian(s, g)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [4, 5, 33, 64])
+def test_eigenbasis_diagonalises_neg_laplacian(n):
+    # the real basis of every -Delta_h solve: symmetric, its own inverse, and
+    # column k an eigenvector of -Delta_h with eigenvalue lam[k]
+    g = make_grid(1, n)
+    h, lam = brinkflow.momentum._eigenbasis(n, g.dx)
+    assert np.array_equal(h, h.T)
+    assert np.max(np.abs(h @ h - np.eye(n))) <= 1e-14
+    columns = h.T   # row k holds column k
+    got = brinkflow.momentum._apply_neg_laplacian(columns, g)
+    assert np.max(np.abs(got - lam[:, None] * columns)) <= 1e-14 * np.max(lam)
+
+
+@pytest.mark.parametrize("n", [4, 5, 33, 64])
+def test_eigen_solves_keep_constant_lines_exactly(n, rng):
+    # a field constant along y (or x) comes back from the Poisson solve and
+    # the flux-CG preconditioner constant along the same lines, bit for bit;
+    # the field constant along x is the other's transpose, and so are its
+    # solutions, to round-off
+    g = make_grid(2, n)
+    line = rng.standard_normal(n)
+    line -= line.mean()
+    lap = brinkflow.momentum._neg_laplacian_eigenvalues(g)
+    outs = []
+    for data, axis in ((np.repeat(line[:, None], n, axis=1), 1),
+                       (np.repeat(line[None, :], n, axis=0), 0)):
+        s, _ = solve_poisson_zero_mean(ScalarField(g, data))
+        pre = brinkflow.momentum._eigen_apply(data, 1.0 / (lap + 0.7), g)
+        for out in (s.data, pre):
+            assert np.all(out == np.take(out, [0], axis=axis))
+            assert np.any(out != 0.0)
+        outs.append((s.data, pre))
+    for along_y, along_x in zip(*outs):
+        scale = np.max(np.abs(along_y))
+        assert np.max(np.abs(along_x - along_y.T)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("dim", [1, 2])
