@@ -39,12 +39,11 @@ from .harness import (
     classify_limit,
     fit_rate,
     load_config,
-    resolve_metric,
     run_simulation,
     sweep,
     write_report,
 )
-from .laws import LawParams, constraint_residuals, evaluate_laws, regime
+from .laws import LawParams, constraint_residuals, evaluate_laws
 
 def _eprint(*args):
     print(*args, file=sys.stderr)
@@ -127,8 +126,10 @@ def _relative_thermo_errors(params, rho, step):
 
 
 def _cmd_verify_laws(args):
-    rng = np.random.default_rng(args.seed)
     n = args.samples
+    if n < 1:
+        raise ConfigError(f"--samples must be >= 1, got {n}")
+    rng = np.random.default_rng(args.seed)
     worst_constraint = 0.0
     worst_thermo = 0.0
     worst_junction = 0.0
@@ -162,10 +163,6 @@ def _cmd_verify_laws(args):
                 f"thermo identity error {max(ep, el):.3e} (exact branch) at "
                 f"rho={rho:.6g} eps={eps:.3e} gamma={gamma:.4g} beta={beta:.4g}"
             )
-
-        if not (0.0 < vals.nu <= 1.0 / (2.0 * exact.mu) + 1e-15):
-            failures.append(f"nu out of range at rho={rho:.6g}: {vals.nu:.6g}")
-        regime(exact)
 
         # truncated branch: identities away from the junction, continuity at it
         delta = 10.0 ** rng.uniform(-3.0, -0.7)
@@ -208,7 +205,6 @@ def _cmd_verify_laws(args):
 
 def _cmd_fit(args):
     table = SweepTable.load(args.table)
-    resolve_metric(args.metric)
     fit = fit_rate(table, args.metric, drop_nonpositive=args.drop_nonpositive)
     print(f"metric = {args.metric} (axis = {table.axis})")
     print(f"slope = {fit.slope:.6g}")

@@ -1,8 +1,8 @@
 """Per-step diagnostics, effective-flux residuals, and the energy ledger.
 
-A ``DiagnosticsRecord`` gathers the per-step scalar columns written to
-diagnostics.csv (fixed column order, see ``CSV_COLUMNS``) plus a few
-in-memory extras consumed by ``energy_report`` and by tests.
+A ``DiagnosticsRecord`` holds the per-step columns of diagnostics.csv, its
+fields without a default in CSV order (``CSV_COLUMNS``), and in-memory extras
+with defaults, consumed by ``energy_report`` and by tests.
 
 Law-derived columns (L1_p, L1_lambda, L1_big_lam, excl_*, mp_residual) use
 the pointwise law values at the current density: the algebraic identities the
@@ -41,7 +41,7 @@ and the rho*p = (beta-1)*big_lam residual on it, and the exclusion sums).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -60,13 +60,6 @@ __all__ = [
     "energy_report",
     "poincare_constant",
 ]
-
-CSV_COLUMNS = (
-    "step", "t", "dt", "mass", "min_rho", "max_rho", "energy_H",
-    "dissipation", "forcing_power", "flux_residual", "mean_relation_residual",
-    "L1_p", "L1_lambda", "L1_big_lam", "excl_p", "excl_big_lam",
-    "mp_residual", "meas_099", "meas_1md", "max_divu_congested",
-)
 
 CONGESTION_THETA = 0.99
 
@@ -106,17 +99,14 @@ class DiagnosticsRecord:
         return [getattr(self, name) for name in CSV_COLUMNS]
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(DiagnosticsRecord) if f.default is MISSING)
+
 # Records are built K = max(1, _BLOCK_CELLS // cells) steps at a time (4 at
 # 64^2), which spreads a flush's fixed cost: a ``RecordBlock`` buffers
-# _BLOCK_CELLS floats (128 kB) per field, 9 + dim fields, about 1.4 MB.
+# _BLOCK_CELLS floats (128 kB) per field, 8 + dim fields, about 1.3 MB.
 _BLOCK_CELLS = 16384
 
 _LAW_FIELDS = tuple(field.name for field in fields(LawValues))
-
-
-def _law_arrays(vals):
-    """The fields of the LawValues ``vals``, in field order."""
-    return [getattr(vals, name) for name in _LAW_FIELDS]
 
 
 def _flux_rows(rho, u, f, vals, params, divu, solve_dt):
@@ -166,7 +156,7 @@ class RecordBlock:
     (rho, u, the transported big_lam, div u and every field of its
     LawValues) into preallocated ``(K,) + grid.shape`` buffers, K = max(1,
     _BLOCK_CELLS // cells): nothing changes a step after ``add``, a later
-    write into its arrays included, nor its record after ``flush``.
+    write into its arrays included, nor its record once in ``records``.
     """
 
     def __init__(self, grid, f, params):
@@ -178,42 +168,41 @@ class RecordBlock:
         self._arrays = [*store[:count], np.moveaxis(store[count:], 0, 1)]
         # (step, t, dt, momentum_iters, solve_dt) of each buffered step
         self._steps = []
+        self.records = []
         self._f_l2sq = sum(float((fc * fc).sum()) for fc in f.components) * grid.cell_volume
 
     @property
     def full(self):
         return len(self._steps) == self.capacity
 
-    def add(self, state, vals, divu, step, dt, momentum_iters, solve_dt):
+    def add(self, state, vals, divu, dt, momentum_iters, solve_dt):
         """Buffer one step, complete: its state, ``vals =
         evaluate_laws(state.rho.data, params)``, ``divu =
         div_array(state.u.components, dx)`` and the dt it took."""
-        arrays = (state.rho.data, state.big_lam.data, divu, *_law_arrays(vals),
-                  state.u.components)
+        arrays = (state.rho.data, state.big_lam.data, divu,
+                  *(getattr(vals, name) for name in _LAW_FIELDS), state.u.components)
         for buf, a in zip(self._arrays, arrays):
             buf[len(self._steps)] = a
-        self._steps.append((step, state.t, dt, momentum_iters, solve_dt))
+        self._steps.append((state.step_count, state.t, dt, momentum_iters, solve_dt))
 
-    def flush(self, records):
+    def flush(self):
         """Append the records of the buffered steps to ``records``; empty the block.
 
-        If a step's diagnostics raise, the block is redone one step at a
-        time: the records of the steps before the failing one are appended
-        and its exception is raised, a SolverDiverged carrying ``records``.
+        When a row of the ``compute_S`` solve misses the tolerance, the
+        records of the rows before it are appended and its SolverDiverged is
+        raised carrying ``records``.  No other exception reaches here: a
+        compatibility failure needs a mean of div(f - r*u) above 1e-10 of its
+        maximum, and a periodic divergence telescopes to a zero mean.
         """
-        size = len(self._steps)
-        if not size:
+        if not self._steps:
             return
         try:
-            records += self._records(0, size)[0]
-        except Exception:
-            for k in range(size):
-                try:
-                    records += self._records(k, k + 1)[0]
-                except SolverDiverged as exc:
-                    exc.records = records
-                    raise
-            raise   # every step alone succeeded: report the block's failure
+            self.records += self._records(0, len(self._steps))[0]
+        except SolverDiverged as exc:
+            if exc.row:
+                self.records += self._records(0, exc.row)[0]
+            exc.records = self.records
+            raise
         finally:
             self._steps.clear()
 
@@ -270,8 +259,9 @@ class RecordBlock:
         return [DiagnosticsRecord(*values) for values in zip(*columns)], S
 
 
-def build_record(state, f, params, step=0, dt=0.0, momentum_iters=0, solve_dt=0.0):
-    """Assemble the full diagnostics record for the current state.
+def build_record(state, f, params, dt=0.0, momentum_iters=0, solve_dt=0.0):
+    """Assemble the full diagnostics record for the current state, numbered
+    ``state.step_count``.
 
     ``solve_dt`` is the dt at which the momentum solve linearised the
     pressure (0 for the exact semi-stationary solve): flux_residual and
@@ -282,7 +272,7 @@ def build_record(state, f, params, step=0, dt=0.0, momentum_iters=0, solve_dt=0.
     grid = state.rho.grid
     block = RecordBlock(grid, f, params)
     block.add(state, evaluate_laws(state.rho.data, params),
-              div_array(state.u.components, grid.dx), step=step, dt=dt,
+              div_array(state.u.components, grid.dx), dt=dt,
               momentum_iters=momentum_iters, solve_dt=solve_dt)
     (rec,), S = block._records(0, 1)
     return rec, ScalarField._trusted(grid, S[0])

@@ -33,14 +33,16 @@ class SolverDiverged(BrinkflowError):
     non-finite) after one refinement step, or an S or Poisson solve missed
     the tolerance.
 
-    Carries the final ``SolveReport`` as ``report`` and, when raised from a
-    simulation run, the diagnostics records gathered so far as ``records``.
+    Carries the final ``SolveReport`` as ``report``, the first row of a
+    block solve that missed the tolerance as ``row`` (else None) and, when
+    raised from a simulation run, the records gathered so far as ``records``.
     """
 
-    def __init__(self, message, report=None, records=None):
+    def __init__(self, message, report=None, records=None, row=None):
         super().__init__(message)
         self.report = report
         self.records = records
+        self.row = row
 
 
 class CompatibilityError(BrinkflowError):

@@ -43,9 +43,9 @@ them, the diagnostics record all reuse them.  Likewise div u^n is computed
 once, after step 3, and feeds both the record and the big_lam source.  A
 step enters the block once, complete, so no record changes once built; it
 is built at the next flush, so a failure in it (a flux solve that stalls)
-surfaces there.  The block is then redone one step at a time, and the run
-ends with the records of the steps before the failing one, as at a
-momentum stall, and no snapshot of a later step.
+surfaces there.  The stalled solve names its row, the block builds the
+records of the steps before it, and the run ends with those records, as at
+a momentum stall, and no snapshot of a later step.
 
 Fields are validated where the loop commits them: ``evaluate_laws`` checks
 each new density and ``advect_big_lambda`` the new big_lam.  The velocity
@@ -335,17 +335,18 @@ def run_simulation(config, outdir=None):
     step before the failing one (and, for a congestion overflow, that step's
     record too, with the floor step ``exc.dt`` as its dt).
 
-    If ``outdir`` is given, the run creates it and writes
-    ``outdir/diagnostics.csv`` (``write_diagnostics_csv``) when it ends with
-    at least one record: every record on success, the partial list when any
-    exception ends it.  With config.snapshot_every > 0, field snapshots are
-    written under ``outdir/snapshots`` as the run goes.
+    If ``outdir`` is given, the run creates it once the configuration and
+    its scenario are valid, and writes ``outdir/diagnostics.csv``
+    (``write_diagnostics_csv``) when it ends with at least one record: every
+    record on success, the partial list when any exception ends it.  With
+    config.snapshot_every > 0, field snapshots are written under
+    ``outdir/snapshots`` as the run goes.
     """
-    if outdir is not None:
-        os.makedirs(outdir, exist_ok=True)
     grid = config.make_grid()
     params = config.law_params()
     rho0, f = build_scenario(config, grid)
+    if outdir is not None:
+        os.makedirs(outdir, exist_ok=True)
 
     vals = evaluate_laws(rho0.data, params)
     state = SimState(
@@ -359,7 +360,6 @@ def run_simulation(config, outdir=None):
     if outdir is not None and config.snapshot_every > 0.0:
         snap_dir = os.path.join(outdir, "snapshots")
 
-    records = []
     block = RecordBlock(grid, f, params)
     cap = stable_dt(state.u, grid, config.cfl)
     snap_cap = config.snapshot_every if config.snapshot_every > 0.0 else math.inf
@@ -385,11 +385,11 @@ def run_simulation(config, outdir=None):
                     new_rho, taken = advect_density(state.rho, u, min(dt, cap), params)
                 except CongestionOverflow as exc:
                     taken, overflow = exc.dt, exc
-            block.add(state, vals, divu, step=state.step_count, dt=taken,
-                      momentum_iters=mrep.iterations, solve_dt=dt)
+            block.add(state, vals, divu, dt=taken, momentum_iters=mrep.iterations,
+                      solve_dt=dt)
 
             if snap_dir is not None and state.t >= next_snap - _TIME_EPS:
-                block.flush(records)   # no snapshot after a failed record
+                block.flush()   # no snapshot after a failed record
                 _write_state_snapshots(snap_dir, state, grid)
                 next_snap += config.snapshot_every
             if overflow is not None:
@@ -399,7 +399,7 @@ def run_simulation(config, outdir=None):
 
             tau_prev, tau = tau, taken
             if block.full:
-                block.flush(records)
+                block.flush()
 
             new_big = advect_big_lambda(state.big_lam, u, divu, vals.lam, taken)
             state = SimState(
@@ -407,18 +407,18 @@ def run_simulation(config, outdir=None):
                 step_count=state.step_count + 1,
             )
             vals = evaluate_laws(state.rho.data, params)
-        block.flush(records)
+        block.flush()
     except Exception as exc:
         # an earlier step's failed record, raised by this flush, comes first
-        block.flush(records)
+        block.flush()
         if isinstance(exc, (SolverDiverged, CongestionOverflow)):
-            exc.records = records
+            exc.records = block.records
         raise
     finally:
-        if outdir is not None and records:
-            write_diagnostics_csv(os.path.join(outdir, "diagnostics.csv"), records)
+        if outdir is not None and block.records:
+            write_diagnostics_csv(os.path.join(outdir, "diagnostics.csv"), block.records)
 
-    return state, records
+    return state, block.records
 
 
 # -- CSV / report output -------------------------------------------------------
@@ -470,9 +470,13 @@ class SweepTable:
         return [r for r in self.rows if r.ok]
 
     def column(self, metric):
-        """(axis values, metric values) over successful rows."""
+        """(axis values, metric values) over successful rows, which must all
+        hold the value (a "nan" cell holds none): ConfigError otherwise."""
         col = resolve_metric(metric)
         rows = self.ok_rows()
+        lacking = [r.value for r in rows if col not in r.metrics]
+        if lacking:
+            raise ConfigError(f"sweep table has no '{col}' value at {self.axis} = {lacking}")
         return (np.array([r.value for r in rows]),
                 np.array([r.metrics[col] for r in rows]))
 
@@ -511,8 +515,8 @@ class SweepTable:
                     meta[key] = _KEYS.get(key, str)(val)   # as in a config file
                 else:
                     body.append(line)
-            rows = [SweepRow(float(rec.pop("value")), rec.pop("status"),
-                             {k: float(v) for k, v in rec.items() if v != "nan"})
+            rows = [SweepRow(float(rec.pop("value")), rec.pop("status"),   # nan: no value
+                             {k: x for k, v in rec.items() if not math.isnan(x := float(v))})
                     for rec in csv.DictReader(body)]
         except KeyError as exc:
             raise ConfigError(f"sweep table {path} has no {exc} column") from exc
@@ -557,14 +561,18 @@ def sweep(config, axis, values, outdir=None):
     if axis not in ("epsilon", "delta"):
         raise ConfigError(f"sweep axis must be 'epsilon' or 'delta', got '{axis}'")
     values = [float(v) for v in values]
-    if len(values) < 2 or any(b >= a for a, b in zip(values, values[1:])):
+    if len(values) < 2 or not all(b < a for a, b in zip(values, values[1:])):
         raise ConfigError("sweep values must be strictly decreasing")
+    configs = [replace(config, **{axis: v}) for v in values]
+    for cfg in configs:   # every row is valid before the first one runs
+        cfg.law_params()
+        cfg.make_grid()
 
     def runs():   # one run's records at a time, aggregated as they come
         for i, v in enumerate(values):
             rundir = None if outdir is None else os.path.join(outdir, f"run_{i:02d}_{axis}_{v:.6g}")
             try:
-                _, result = run_simulation(replace(config, **{axis: v}), outdir=rundir)
+                _, result = run_simulation(configs[i], outdir=rundir)
             except (SolverDiverged, CongestionOverflow) as exc:
                 result = exc
             yield v, result
@@ -612,10 +620,11 @@ class FitResult:
 def fit_rate(table, metric, drop_nonpositive=False):
     """Fit the named metric against the sweep axis on log-log scales.
 
-    Raises FitDegenerate when fewer than 3 usable points remain or when a
-    metric or axis value is nonpositive (a delta sweep may end at the exact
-    laws, delta = 0); pass drop_nonpositive=True to fit on the rows where
-    both are positive instead, if at least 3 survive.
+    Raises FitDegenerate when fewer than 3 usable points remain, when a
+    value is not finite or nonpositive (a delta sweep may end at the exact
+    laws, delta = 0), or when the axis takes a single value; pass
+    drop_nonpositive=True to fit on the rows where both are positive
+    instead, if at least 3 survive.
     """
     xs, ys = table.column(metric)
     if drop_nonpositive:
@@ -626,11 +635,15 @@ def fit_rate(table, metric, drop_nonpositive=False):
             f"need at least 3 positive points to fit '{metric}', have {len(xs)}"
         )
     for name, vals in ((f"axis '{table.axis}'", xs), (f"metric '{metric}'", ys)):
+        if not np.all(np.isfinite(vals)):
+            raise FitDegenerate(f"{name} has non-finite values; cannot fit a power law")
         if np.any(vals <= 0.0):
             raise FitDegenerate(
                 f"{name} has nonpositive values; cannot fit a power law "
                 "(retry with drop_nonpositive=True)"
             )
+    if np.all(xs == xs[0]):
+        raise FitDegenerate(f"axis '{table.axis}' takes a single value; cannot fit a slope")
     lx, ly = np.log(xs), np.log(ys)
     slope, intercept = np.polyfit(lx, ly, 1)
     pred = slope * lx + intercept
@@ -677,8 +690,6 @@ def classify_limit(table, params):
     ok = table.ok_rows()
     if len(ok) < 3:
         raise SweepDegenerate(f"need at least 3 successful rows to classify, have {len(ok)}")
-    if any("max_mp_residual" not in r.metrics for r in ok):
-        raise ConfigError("classification requires the sweep table's max_mp_residual column")
 
     columns = limit_exponents(params)
     expected = regime(params)
@@ -694,7 +705,7 @@ def classify_limit(table, params):
 
     evidence = {
         **{f"slope_{m}": s for m, s in slopes.items()},
-        "mp_residual_max": max(r.metrics["max_mp_residual"] for r in ok),
+        "mp_residual_max": float(np.max(table.column("max_mp_residual")[1])),
         **{f"predicted_{m}": e for m, e in columns[expected].items()},
         "deviation": deviation[observed],
         "slope_tol": _SLOPE_TOL,

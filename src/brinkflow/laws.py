@@ -14,9 +14,7 @@ density),
 
     h(rho)       = eps/(gamma-1) * rho**gamma / (1-rho)**(gamma-1)
     big_lam(rho) = eps/(beta-1)  * rho**beta  / (1-rho)**(beta-1)
-                 = rho * integral_0^rho lam(tau)/tau**2 dtau,
-
-plus the inverse total viscosity ``nu = 1/(2*mu + lam)``.
+                 = rho * integral_0^rho lam(tau)/tau**2 dtau.
 
 With ``delta > 0`` the singularity is truncated: above ``rho = 1 - delta``
 each law continues with polynomial growth (continuously at the junction), so
@@ -117,15 +115,14 @@ class LawParams:
 class LawValues:
     """Pointwise law evaluations; shapes match the input density.
 
-    p, lam, big_lam, h, nu are the laws of the module docstring and dp is
-    the pressure stiffness dp/drho.
+    p, lam, big_lam, h are the laws of the module docstring and dp is the
+    pressure stiffness dp/drho.
     """
 
     p: np.ndarray
     lam: np.ndarray
     big_lam: np.ndarray
     h: np.ndarray
-    nu: np.ndarray
     dp: np.ndarray
 
 
@@ -160,7 +157,7 @@ def _exact_laws(rho, eps, gamma, beta):
 
 
 def evaluate_laws(rho, params):
-    """Evaluate p, lam, big_lam, h, nu and dp/drho at the given densities.
+    """Evaluate p, lam, big_lam, h and dp/drho at the given densities.
 
     Accepts a scalar or an ndarray; returns a ``LawValues`` with matching
     shape.  Raises ``DomainError`` for rho < 0, and for rho >= 1 when
@@ -196,9 +193,7 @@ def evaluate_laws(rho, params):
         big[trunc] = eps / ((beta - 1.0) * delta**beta) * (rt**beta - edge**beta * rt)
         dp[trunc] = eps * gamma * rt ** (gamma - 1.0) / delta**gamma
 
-    nu = 1.0 / (2.0 * params.mu + lam)
-
-    fields = (p, lam, big, h, nu, dp)
+    fields = (p, lam, big, h, dp)
     if scalar:
         return LawValues(*(float(a[0]) for a in fields))
     return LawValues(*fields)   # atleast_1d kept the shape of array input

@@ -150,12 +150,12 @@ def _direct(apply_op, solve, b, x0, tol):
     return x, SolveReport(1, rel, bool(rel <= tol))
 
 
-def _check_converged(report, what):
+def _check_converged(report, what, row=None):
     if not report.converged:
         raise SolverDiverged(
             f"{what} stalled at relative residual "
             f"{report.final_relative_residual:.3e} after {report.iterations} iterations",
-            report=report,
+            report=report, row=row,
         )
 
 
@@ -397,7 +397,7 @@ def _poisson_block(b, grid):
 def _check_rows(s, b, grid, what):
     """Per-row lists (iterations, relative residuals) of the block solve s of
     -Delta_h s = b: 1 iteration, or 0 and s = 0 for a zero row of b.  Raises
-    SolverDiverged at the first row whose residual misses _TOL."""
+    SolverDiverged, naming it ``row``, at the first row that misses _TOL."""
     b_norm = np.linalg.norm(b.reshape(len(b), -1), axis=1)
     solved = b_norm > 0.0
     s[~solved] = 0.0
@@ -405,7 +405,7 @@ def _check_rows(s, b, grid, what):
     rel /= np.where(solved, b_norm, 1.0)
     missed = np.flatnonzero(~(rel <= _TOL))
     if missed.size:
-        _check_converged(SolveReport(1, float(rel[missed[0]]), False), what)
+        _check_converged(SolveReport(1, float(rel[missed[0]]), False), what, int(missed[0]))
     return solved.astype(int).tolist(), rel.tolist()
 
 

@@ -66,7 +66,8 @@ def stall_momentum(monkeypatch):
 def fail_diagnostics(monkeypatch):
     """Call ``fail_diagnostics(config, k)`` to make ``compute_S`` raise
     SolverDiverged on the velocity of step k of ``config``, in whatever block
-    the diagnostics pass it; returns the records of an undisturbed run."""
+    the diagnostics pass it, naming its row as ``compute_S`` does; returns
+    the records of an undisturbed run."""
 
     def install(config, k):
         solve = brinkflow.harness.solve_momentum
@@ -83,8 +84,10 @@ def fail_diagnostics(monkeypatch):
         compute_S = brinkflow.diagnostics.compute_S
 
         def failing(u, f, params):
-            if any(np.array_equal(row, velocities[k]) for row in u):
-                raise SolverDiverged("forced flux stall", report=SolveReport(1, 1.0, False))
+            for row, uk in enumerate(u):
+                if np.array_equal(uk, velocities[k]):
+                    raise SolverDiverged("forced flux stall",
+                                         report=SolveReport(1, 1.0, False), row=row)
             return compute_S(u, f, params)
 
         monkeypatch.setattr(brinkflow.diagnostics, "compute_S", failing)

@@ -282,6 +282,18 @@ def test_sweep_bad_values_exit_code(tmp_path):
     rc = main(["sweep", "--config", cfg, "--axis", "epsilon",
                "--values", "1e-3,1e-2", "--out", str(tmp_path / "x")])
     assert rc == 2
+    # a row that is no valid configuration fails the sweep before any row runs
+    for i, values in enumerate(["0.1,0.01,0", "0.1,0.01,nan,0.001"]):
+        out = tmp_path / f"invalid{i}"
+        assert main(["sweep", "--config", cfg, "--axis", "epsilon",
+                     "--values", values, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_laws_without_samples_is_config_error(capsys, samples):
+    assert main(["verify-laws", "--samples", samples]) == 2
+    assert "--samples must be >= 1" in capsys.readouterr().err
 
 
 def test_verify_laws_passes(capsys):
@@ -312,6 +324,12 @@ def test_fit_degenerate(tmp_path):
     # dropping nonpositive points cannot save an all-zero column
     assert main(["fit", "--table", path, "--metric", "L1_p",
                  "--drop-nonpositive"]) == 1
+    # one axis value, or an infinite metric value, has no slope either
+    ys = iter([1.0, 2.0, 3.0])
+    path = save_table(tmp_path, lambda v: {"L1_p": next(ys)}, values=(1e-2,) * 3)
+    assert main(["fit", "--table", path, "--metric", "L1_p"]) == 1
+    path = save_table(tmp_path, lambda v: {"L1_p": np.inf if v == 1e-3 else v})
+    assert main(["fit", "--table", path, "--metric", "L1_p"]) == 1
 
 
 def test_fit_missing_table(tmp_path):
@@ -341,6 +359,29 @@ def test_fit_malformed_table_is_config_error(tmp_path, capsys, case):
     assert f"sweep table {path}" in capsys.readouterr().err
     assert main(["classify", "--table", path]) == 2
     assert f"sweep table {path}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["nan_cell", "NaN_cell", "no_column"])
+def test_missing_metric_value_is_config_error(tmp_path, capsys, case):
+    # ok rows without a fitted metric's value, as a "nan" cell or with no
+    # column at all, fail fit and classify as a configuration error
+    path = save_table(tmp_path, power_laws(3.0, 2.0, RegimeTag.PRESSURE_NO_MEMORY),
+                      gamma=3.0, beta=2.0)
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    body = [line.split(",") for line in lines if not line.startswith("#")]
+    k = body[0].index("final_excl_p")
+    if case == "no_column":
+        body = [row[:k] + row[k + 1:] for row in body]
+    else:
+        body[2][k] = case[:3]
+    with open(path, "w") as fh:
+        fh.write("\n".join(header + [",".join(row) for row in body]) + "\n")
+    assert main(["fit", "--table", path, "--metric", "excl_p"]) == 2
+    assert "no 'final_excl_p' value" in capsys.readouterr().err
+    assert main(["classify", "--table", path]) == 2
+    assert "no 'final_excl_p' value" in capsys.readouterr().err
 
 
 def power_laws(gamma, beta, tag):

@@ -52,9 +52,14 @@ def _record(rho, u, f=None, params=PARAMS):
 
 
 def test_csv_columns():
-    assert len(CSV_COLUMNS) == 20
-    assert CSV_COLUMNS[0] == "step" and CSV_COLUMNS[1] == "t"
-    assert "flux_residual" in CSV_COLUMNS and "mp_residual" in CSV_COLUMNS
+    # the columns are DiagnosticsRecord's fields without a default, in field
+    # order, so the field order is the diagnostics.csv contract
+    assert CSV_COLUMNS == (
+        "step", "t", "dt", "mass", "min_rho", "max_rho", "energy_H",
+        "dissipation", "forcing_power", "flux_residual", "mean_relation_residual",
+        "L1_p", "L1_lambda", "L1_big_lam", "excl_p", "excl_big_lam",
+        "mp_residual", "meas_099", "meas_1md", "max_divu_congested",
+    )
 
 
 def test_flux_residual_manufactured():
@@ -197,9 +202,8 @@ def test_build_record_basic_quantities(rng):
     u, rep = solve_momentum(rho, f, PARAMS)
     vals = evaluate_laws(rho.data, PARAMS)
     state = SimState(t=0.25, rho=rho, u=u,
-                     big_lam=ScalarField(g, vals.big_lam.copy()))
-    rec, S = build_record(state, f, PARAMS, step=7, dt=0.01,
-                          momentum_iters=rep.iterations)
+                     big_lam=ScalarField(g, vals.big_lam.copy()), step_count=7)
+    rec, S = build_record(state, f, PARAMS, dt=0.01, momentum_iters=rep.iterations)
     assert rec.step == 7 and rec.t == 0.25 and rec.dt == 0.01
     assert rec.mass == pytest.approx(float(np.sum(rho.data)) / g.n, rel=1e-14)
     assert rec.min_rho == float(np.min(rho.data))
@@ -230,22 +234,21 @@ def test_record_block_owns_its_data(one_step, rng, monkeypatch):
     f = FaceVectorField(g, (rng.normal(size=g.shape),))
     u, rep = solve_momentum(rho, f, PARAMS)
     big_lam = ScalarField(g, 0.9 * evaluate_laws(rho.data, PARAMS).big_lam)
-    state = SimState(t=0.1, rho=rho, u=u, big_lam=big_lam)
+    state = SimState(t=0.1, rho=rho, u=u, big_lam=big_lam, step_count=3)
     untouched = SimState(t=0.1, rho=ScalarField(g, rho.data.copy()),
                          u=FaceVectorField(g, (u.components[0].copy(),)),
-                         big_lam=ScalarField(g, big_lam.data.copy()))
-    expected, _ = build_record(untouched, f, PARAMS, step=3, dt=0.01,
+                         big_lam=ScalarField(g, big_lam.data.copy()), step_count=3)
+    expected, _ = build_record(untouched, f, PARAMS, dt=0.01,
                                momentum_iters=rep.iterations)
 
     block = brinkflow.diagnostics.RecordBlock(g, f, PARAMS)
     assert (block.capacity == 1) == one_step
     block.add(state, evaluate_laws(rho.data, PARAMS), div_array(u.components, g.dx),
-              step=3, momentum_iters=rep.iterations, solve_dt=0.0, dt=0.01)
+              momentum_iters=rep.iterations, solve_dt=0.0, dt=0.01)
     for a in (rho.data, big_lam.data, *u.components):
         a[...] = 0.5
-    records = []
-    block.flush(records)
-    assert records == [expected]
+    block.flush()
+    assert block.records == [expected]
 
 
 _EXTRAS = ("sum_divu2", "sum_curl2", "f_l2sq", "big_lam_pde_l1", "big_lam_drift_l1",

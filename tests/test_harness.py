@@ -312,9 +312,9 @@ def test_records_are_final_when_appended(tmp_path, monkeypatch):
     flush = brinkflow.diagnostics.RecordBlock.flush
     appended = []
 
-    def copying(self, records):
-        flush(self, records)
-        appended.append([(r.step, r.dt) for r in records])
+    def copying(self):
+        flush(self)
+        appended.append([(r.step, r.dt) for r in self.records])
 
     monkeypatch.setattr(brinkflow.diagnostics.RecordBlock, "flush", copying)
     cfg = RunConfig(dim=1, n=64, t_end=0.1, epsilon=1e-2, gamma=2.0, beta=3.0,
@@ -506,8 +506,8 @@ scenario.f0 = 50.0
 def test_diagnostics_failure_attaches_earlier_records(block_cells, fail_diagnostics,
                                                       monkeypatch):
     # records are built in blocks of K steps; a failing flux solve at step 5
-    # still yields exactly the records of steps 0-4, found by redoing the
-    # block one step at a time
+    # still yields exactly the records of steps 0-4, built from the rows
+    # before the one the failed solve names
     monkeypatch.setattr(brinkflow.diagnostics, "_BLOCK_CELLS", block_cells)
     cfg = parse_config(FORCED_TEXT)
     reference = fail_diagnostics(cfg, 5)
@@ -516,6 +516,26 @@ def test_diagnostics_failure_attaches_earlier_records(block_cells, fail_diagnost
         run_simulation(cfg)
     records = exc_info.value.records
     assert [r.csv_values() for r in records] == [r.csv_values() for r in reference[:5]]
+
+
+def test_diagnostics_failure_solves_the_flux_twice(fail_diagnostics, monkeypatch):
+    # the failed block solve names its row, so the records of steps 0-4
+    # take one more compute_S call, for the rows before it
+    cfg = parse_config(FORCED_TEXT)
+    fail_diagnostics(cfg, 5)
+    failing = brinkflow.diagnostics.compute_S
+    calls = 0
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return failing(*args)
+
+    monkeypatch.setattr(brinkflow.diagnostics, "compute_S", counting)
+    with pytest.raises(SolverDiverged, match="forced flux stall") as exc_info:
+        run_simulation(cfg)
+    assert [r.step for r in exc_info.value.records] == [0, 1, 2, 3, 4]
+    assert calls == 2
 
 
 def test_earlier_diagnostics_failure_wins_over_later_stall(fail_diagnostics,
@@ -753,6 +773,15 @@ def test_fit_rate_degenerate_cases():
     two = synth_table(EPS4[:2], lambda v: {"L1_p": v})
     with pytest.raises(FitDegenerate):
         fit_rate(two, "L1_p")
+    # neither a repeated axis value nor an infinite metric gives a slope
+    ys = iter([1.0, 2.0, 3.0])
+    one_value = synth_table([1e-2] * 3, lambda v: {"L1_p": next(ys)})
+    with pytest.raises(FitDegenerate, match="single value"):
+        fit_rate(one_value, "L1_p")
+    infinite = synth_table(EPS4, lambda v: {"L1_p": math.inf if v == 1e-3 else v})
+    for drop in (False, True):
+        with pytest.raises(FitDegenerate, match="non-finite"):
+            fit_rate(infinite, "L1_p", drop_nonpositive=drop)
 
 
 @pytest.mark.parametrize("value", [0.03195896916189038, 0.05084451944079279, 1.0])
@@ -1058,6 +1087,18 @@ def test_sweep_validation_and_degenerate(tmp_path):
     with pytest.raises(SweepDegenerate) as exc_info:
         sweep(cfg, "epsilon", [1e-2, 1e-3])
     assert len(exc_info.value.table.ok_rows()) == 2
+
+
+@pytest.mark.parametrize("extra, values", [
+    ("", [0.1, 0.01, 0.0]),
+    ("", [0.1, 0.01, math.nan, 0.001]),
+    ("scenario.f0 = 5.0\n", [0.1, 0.01, 0.001]),   # equilibrium has no f0
+], ids=["zero_epsilon", "nan", "unknown_scenario_parameter"])
+def test_sweep_validates_every_row_before_running(tmp_path, extra, values):
+    # an invalid row fails the sweep before any row runs or writes
+    with pytest.raises(ConfigError):
+        sweep(parse_config(BASE_TEXT + extra), "epsilon", values, outdir=str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_records_failures(tmp_path):

@@ -35,7 +35,6 @@ def test_reference_point_small_epsilon():
     assert v.lam == pytest.approx(0.01, rel=1e-15)
     assert v.big_lam == pytest.approx(0.0025, rel=1e-15)
     assert v.h == pytest.approx(0.005, rel=1e-15)
-    assert v.nu == pytest.approx(1.0 / 1.01, rel=1e-15)
 
 
 def test_reference_point_unit_epsilon():
@@ -45,8 +44,6 @@ def test_reference_point_unit_epsilon():
     assert v.lam == pytest.approx(1.0, rel=1e-15)
     assert v.big_lam == pytest.approx(0.25, rel=1e-15)
     assert v.h == pytest.approx(0.5, rel=1e-15)
-    # nu = 1/(2*mu + lam) = 1/(1 + 1)
-    assert v.nu == pytest.approx(0.5, rel=1e-15)
 
 
 def test_truncated_branch_reference_point():
@@ -59,7 +56,6 @@ def test_truncated_branch_reference_point():
     # h = (0.64 - 0.75**2 * 0.8) / 0.0625, big_lam = (0.512 - 0.75**3*0.8)/(2*0.25**3)
     assert v.h == pytest.approx(3.04, rel=1e-14)
     assert v.big_lam == pytest.approx(5.584, rel=1e-14)
-    assert v.nu == pytest.approx(1.0 / 33.768, rel=1e-14)
 
 
 def test_truncated_branch_admits_rho_above_one():
@@ -74,7 +70,7 @@ def test_junction_continuity():
     edge = 0.75
     below = evaluate_laws(edge, params)
     above = evaluate_laws(edge * (1.0 + 1e-12), params)
-    for field in ("p", "lam", "big_lam", "h", "nu"):
+    for field in ("p", "lam", "big_lam", "h"):
         lo, hi = getattr(below, field), getattr(above, field)
         assert hi == pytest.approx(lo, rel=1e-9), field
     # junction value of h from either branch: rho*q/(gamma-1) at q = 3
@@ -270,7 +266,6 @@ def test_scalar_and_array_agree():
         assert isinstance(one.p, float)
         assert arr.p[idx] == one.p
         assert arr.big_lam[idx] == one.big_lam
-        assert arr.nu[idx] == one.nu
 
 
 def test_monotonicity(rng):
@@ -279,8 +274,6 @@ def test_monotonicity(rng):
     v = evaluate_laws(rho, params)
     for name in ("p", "lam", "big_lam", "h"):
         assert np.all(np.diff(getattr(v, name)) > 0), name
-    assert np.all(np.diff(v.nu) < 0)
-    assert np.all(v.nu > 0) and np.all(v.nu <= 1.0 / (2 * params.mu))
 
 
 def test_exact_laws_equal_closed_forms(rng):
@@ -297,7 +290,6 @@ def test_exact_laws_equal_closed_forms(rng):
         "h": (eps / (gamma - 1.0)) * rho * q ** (gamma - 1.0),
         "dp": eps * gamma * q ** (gamma - 1.0) / (1.0 - rho) ** 2,
     }
-    ref["nu"] = 1.0 / (2.0 * params.mu + ref["lam"])
     arr = evaluate_laws(rho, params)
     for name, want in ref.items():
         assert np.array_equal(getattr(arr, name), want), name
