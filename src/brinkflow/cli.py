@@ -87,9 +87,7 @@ def _cmd_sweep(args):
     try:
         table = sweep(config, args.axis, values, outdir=args.out)
     except SweepDegenerate as exc:
-        table = getattr(exc, "table", None)
-        if table is not None:
-            write_report(report_path, table, error=exc)
+        write_report(report_path, exc.table, error=exc)
         _eprint(f"sweep degenerate: {exc}")
         return 1
 
@@ -99,7 +97,7 @@ def _cmd_sweep(args):
         try:
             classification = classify_limit(table, config.law_params())
             print("classification: " + classification.summary())
-        except (Unclassifiable, SweepDegenerate) as exc:
+        except Unclassifiable as exc:
             error = exc
             _eprint(f"classification failed: {exc}")
     write_report(report_path, table, classification=classification, error=error)
@@ -130,10 +128,13 @@ def _cmd_verify_laws(args):
     if n < 1:
         raise ConfigError(f"--samples must be >= 1, got {n}")
     rng = np.random.default_rng(args.seed)
-    worst_constraint = 0.0
-    worst_thermo = 0.0
-    worst_junction = 0.0
+    worst = dict.fromkeys(("constraint residual", "thermo identity error", "junction jump"), 0.0)
     failures = []
+
+    def check(kind, value, bound, message):
+        worst[kind] = max(worst[kind], value)
+        if value > bound:
+            failures.append(message)
 
     for i in range(n):
         eps = 10.0 ** rng.uniform(-4.0, 0.0)
@@ -144,54 +145,38 @@ def _cmd_verify_laws(args):
 
         vals = evaluate_laws(rho, exact)
         r1, r2, r3 = constraint_residuals(rho, exact)
-        rels = (
-            r1 / (1.0 + vals.big_lam),
-            r2 / (1.0 + (1.0 - rho) * vals.p),
-            r3 / (1.0 + (1.0 - rho) * vals.big_lam),
-        )
-        worst_constraint = max(worst_constraint, *rels)
-        if max(rels) > 1e-9:
-            failures.append(
-                f"constraint residual {max(rels):.3e} at "
-                f"rho={rho:.6g} eps={eps:.3e} gamma={gamma:.4g} beta={beta:.4g}"
-            )
+        rel = max(r1 / (1.0 + vals.big_lam), r2 / (1.0 + (1.0 - rho) * vals.p),
+                  r3 / (1.0 + (1.0 - rho) * vals.big_lam))
+        check("constraint residual", rel, 1e-9,
+              f"constraint residual {rel:.3e} at "
+              f"rho={rho:.6g} eps={eps:.3e} gamma={gamma:.4g} beta={beta:.4g}")
 
-        ep, el = _relative_thermo_errors(exact, rho, 1e-6 * (1.0 - rho))
-        worst_thermo = max(worst_thermo, ep, el)
-        if max(ep, el) > 1e-5:
-            failures.append(
-                f"thermo identity error {max(ep, el):.3e} (exact branch) at "
-                f"rho={rho:.6g} eps={eps:.3e} gamma={gamma:.4g} beta={beta:.4g}"
-            )
+        err = max(_relative_thermo_errors(exact, rho, 1e-6 * (1.0 - rho)))
+        check("thermo identity error", err, 1e-5,
+              f"thermo identity error {err:.3e} (exact branch) at "
+              f"rho={rho:.6g} eps={eps:.3e} gamma={gamma:.4g} beta={beta:.4g}")
 
         # truncated branch: identities away from the junction, continuity at it
         delta = 10.0 ** rng.uniform(-3.0, -0.7)
         trunc = LawParams(epsilon=eps, delta=delta, gamma=gamma, beta=beta)
         edge = 1.0 - delta
         rho_t = rng.uniform(edge + 0.01, 1.2)
-        ep, el = _relative_thermo_errors(trunc, rho_t, 1e-6)
-        worst_thermo = max(worst_thermo, ep, el)
-        if max(ep, el) > 1e-5:
-            failures.append(
-                f"thermo identity error {max(ep, el):.3e} (truncated branch) at "
-                f"rho={rho_t:.6g} delta={delta:.3e} gamma={gamma:.4g} beta={beta:.4g}"
-            )
+        err = max(_relative_thermo_errors(trunc, rho_t, 1e-6))
+        check("thermo identity error", err, 1e-5,
+              f"thermo identity error {err:.3e} (truncated branch) at "
+              f"rho={rho_t:.6g} delta={delta:.3e} gamma={gamma:.4g} beta={beta:.4g}")
         below = evaluate_laws(edge * (1.0 - 1e-11), trunc)
         above = evaluate_laws(edge * (1.0 + 1e-11), trunc)
         for name in ("p", "lam", "h", "big_lam"):
             lo, hi = getattr(below, name), getattr(above, name)
             jump = abs(hi - lo) / (1.0 + abs(lo))
-            worst_junction = max(worst_junction, jump)
-            if jump > 1e-6:
-                failures.append(
-                    f"{name} jumps by {jump:.3e} across the junction at "
-                    f"delta={delta:.3e} gamma={gamma:.4g} beta={beta:.4g}"
-                )
+            check("junction jump", jump, 1e-6,
+                  f"{name} jumps by {jump:.3e} across the junction at "
+                  f"delta={delta:.3e} gamma={gamma:.4g} beta={beta:.4g}")
 
     print(f"laws battery: {n} samples, seed {args.seed}")
-    print(f"max relative constraint residual: {worst_constraint:.3e}")
-    print(f"max relative thermo identity error: {worst_thermo:.3e}")
-    print(f"max relative junction jump: {worst_junction:.3e}")
+    for kind, value in worst.items():
+        print(f"max relative {kind}: {value:.3e}")
     if failures:
         for line in failures[:20]:
             _eprint("FAIL " + line)
@@ -302,10 +287,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _eprint(f"config error: {exc}")
-        return 2
-    except OSError as exc:
+    except (ConfigError, OSError) as exc:
         _eprint(f"config error: {exc}")
         return 2
     except SolverDiverged as exc:

@@ -30,7 +30,8 @@ class SolverDiverged(BrinkflowError):
 
     The inner CG of the 2D momentum solve exhausted its iteration budget,
     the momentum solve's measured residual stayed above tolerance (or
-    non-finite) after one refinement step, or an S or Poisson solve missed
+    non-finite) after one refinement step with a normwise backward error
+    above 1e-12, which the message names, or an S or Poisson solve missed
     the tolerance.
 
     Carries the final ``SolveReport`` as ``report``, the first row of a

@@ -543,8 +543,7 @@ class SweepTable:
                 metrics[f"final_{name}"] = getattr(result[-1], name)
                 metrics[f"max_{name}"] = max(getattr(r, name) for r in result)
             rows.append(SweepRow(value, "ok", metrics))
-        params = {key: getattr(config, key) for key in _KEYS if key != "snapshot_every"}
-        return cls(axis=axis, rows=rows, params=params,
+        return cls(axis=axis, rows=rows, params={key: getattr(config, key) for key in _KEYS},
                    scenario_params=dict(config.scenario_params))
 
 

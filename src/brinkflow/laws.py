@@ -228,8 +228,7 @@ def limit_exponents(params):
     ``"L1_drho"``: the rate of L1(rho_eps - rho_{eps/10}).
     """
     g, b1 = params.gamma, params.beta - 1.0
-    s = 1.0 + params.gamma - params.beta
-    s = 0.0 if abs(s) <= _REGIME_TOL else s   # one column where regime() sees s = 0
+    s = 0.0 if regime(params) is RegimeTag.MEMORY_AND_PRESSURE else 1.0 + g - params.beta
 
     def column(a, b):   # p ~ eps**a and big_lam ~ eps**b; R2 and R3 give excl_*
         return {"L1_p": a, "L1_big_lam": b,

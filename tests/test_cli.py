@@ -304,6 +304,59 @@ def test_verify_laws_passes(capsys):
     assert "all identities hold" in out
 
 
+def test_verify_laws_report_is_pinned(capsys):
+    assert main(["verify-laws", "--samples", "200", "--seed", "0"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "laws battery: 200 samples, seed 0",
+        "max relative constraint residual: 1.889e-16",
+        "max relative thermo identity error: 6.962e-10",
+        "max relative junction jump: 4.755e-08",
+        "all identities hold",
+    ]
+
+
+def test_verify_laws_names_each_failure(capsys, monkeypatch):
+    # broken laws: R1 off by 1, p off by 1 (both thermo checks) and big_lam
+    # stepping by 1 at the junction; each failed check prints its line
+    import brinkflow.cli
+    from brinkflow.laws import evaluate_laws
+
+    def broken(rho, params):
+        vals = evaluate_laws(rho, params)
+        step = 1.0 if params.delta > 0.0 and rho > 1.0 - params.delta else 0.0
+        return dataclasses.replace(vals, p=vals.p + 1.0, big_lam=vals.big_lam + step)
+
+    monkeypatch.setattr(brinkflow.cli, "constraint_residuals", lambda rho, params: (1.0, 0.0, 0.0))
+    monkeypatch.setattr(brinkflow.cli, "evaluate_laws", broken)
+    assert main(["verify-laws", "--samples", "2", "--seed", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [
+        "laws battery: 2 samples, seed 0",
+        "max relative constraint residual: 9.965e-01",
+        "max relative thermo identity error: 4.999e-01",
+        "max relative junction jump: 8.108e-01",
+    ]
+    assert err.splitlines() == [
+        "FAIL constraint residual 9.965e-01 at rho=0.0640485 eps=3.531e-02 gamma=1.821 "
+        "beta=1.294",
+        "FAIL thermo identity error 4.999e-01 (exact branch) at rho=0.0640485 eps=3.531e-02 "
+        "gamma=1.821 beta=1.294",
+        "FAIL thermo identity error 4.420e-01 (truncated branch) at rho=1.17695 "
+        "delta=7.422e-02 gamma=1.821 beta=1.294",
+        "FAIL big_lam jumps by 8.108e-01 across the junction at delta=7.422e-02 gamma=1.821 "
+        "beta=1.294",
+        "FAIL constraint residual 8.463e-01 at rho=0.844812 eps=2.670e-02 gamma=2.878 "
+        "beta=2.45",
+        "FAIL thermo identity error 1.817e-01 (exact branch) at rho=0.844812 eps=2.670e-02 "
+        "gamma=2.878 beta=2.45",
+        "FAIL thermo identity error 7.225e-02 (truncated branch) at rho=0.935484 "
+        "delta=7.524e-02 gamma=2.878 beta=2.45",
+        "FAIL big_lam jumps by 6.069e-01 across the junction at delta=7.524e-02 gamma=2.878 "
+        "beta=2.45",
+        "8 failures",
+    ]
+
+
 def test_fit_subcommand(tmp_path, capsys):
     path = save_table(tmp_path, lambda v: {"L1_p": 2.0 * v**0.5})
     rc = main(["fit", "--table", path, "--metric", "L1_p"])

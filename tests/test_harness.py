@@ -390,6 +390,30 @@ def test_2d_momentum_solve_runs_one_flux_cg(gamma, beta, eps, monkeypatch):
     assert calls["cg"] == calls["solve"]
 
 
+@pytest.mark.parametrize("gamma, beta", [(2.0, 3.0), (1.5, 3.0)])
+def test_2d_run_at_eps_1e_6_reaches_its_end(gamma, beta, monkeypatch):
+    # round-off alone keeps some momentum solves of these runs above the
+    # relative residual 1e-10, refinement or not; accepted on their backward
+    # error, the runs reach t_end with the flux identity intact
+    reports = []
+
+    def recording(*args, **kwargs):
+        u, report = brinkflow.momentum.solve_momentum(*args, **kwargs)
+        reports.append(report)
+        return u, report
+
+    monkeypatch.setattr(brinkflow.harness, "solve_momentum", recording)
+    cfg = RunConfig(dim=2, n=32, t_end=0.5, epsilon=1e-6, gamma=gamma, beta=beta,
+                    scenario="rotation_squeeze",
+                    scenario_params={"rho0": 0.6, "f0": 300.0, "rot": 20.0})
+    _, records = run_simulation(cfg)
+    assert records[-1].t == 0.5
+    assert any(rep.final_relative_residual > 1e-10 for rep in reports)
+    max_rho = np.array([r.max_rho for r in records])
+    bound = 1e-8 * (1.0 + brinkflow.laws.evaluate_laws(max_rho, cfg.law_params()).p)
+    assert np.all(np.array([r.flux_residual for r in records]) <= bound)
+
+
 def test_benchmark_tracer_bindings_exist():
     # perfbench/tracing.py wraps these module attributes by name; a binding
     # dropped from a module breaks every traced benchmark run
@@ -1005,11 +1029,26 @@ def test_sweep_header_holds_config_keys(tmp_path):
             key, _, val = line[2:].partition("=")
             header[key] = val
     assert header.pop("axis") == "epsilon"
-    expected = {f.name for f in dataclasses.fields(RunConfig)} - {
-        "snapshot_every", "scenario_params"}
+    expected = {f.name for f in dataclasses.fields(RunConfig)} - {"scenario_params"}
     assert set(header) == expected
     assert header["scenario"] == "equilibrium" and header["n"] == "16"
     assert float(header["epsilon"]) == cfg.epsilon
+    assert float(header["snapshot_every"]) == 0.0
+
+
+def test_sweep_header_tells_snapshot_intervals_apart(tmp_path):
+    # snapshot times cap dt, so snapshot_every changes the runs: two sweeps
+    # that differ only in it must not have the same header
+    cfg = parse_config(BASE_TEXT)
+    heads = []
+    for every in (0.0, 0.01):
+        out = tmp_path / f"every_{every}"
+        sweep(dataclasses.replace(cfg, snapshot_every=every), "epsilon", [1e-2, 1e-3, 1e-4],
+              outdir=str(out))
+        heads.append([line for line in (out / "sweep.csv").read_text().splitlines()
+                      if line.startswith("#")])
+    assert heads[0] != heads[1]
+    assert "# snapshot_every=0.01" in heads[1]
 
 
 def test_sweep_header_records_scenario_params(tmp_path):

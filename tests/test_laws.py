@@ -197,9 +197,11 @@ def test_limit_exponents_closed_forms():
     mp = limit_exponents(mk(2.0, 3.0))
     assert all(mp[tag] == {"L1_p": 0.0, "L1_big_lam": 0.0, "excl_p": 0.5, "excl_big_lam": 0.5}
                for tag in RegimeTag)
-    near = limit_exponents(mk(2.0, 3.0 + 1e-13))
-    assert regime(mk(2.0, 3.0 + 1e-13)) is RegimeTag.MEMORY_AND_PRESSURE
-    assert all(near[tag] == near[RegimeTag.MEMORY_AND_PRESSURE] for tag in RegimeTag)
+    # the boundary is regime()'s: one column within its tolerance, three outside
+    for ds, one in ((1e-13, True), (-1e-13, True), (1e-11, False), (-1e-11, False)):
+        near = limit_exponents(mk(2.0, 3.0 - ds))
+        assert (regime(mk(2.0, 3.0 - ds)) is RegimeTag.MEMORY_AND_PRESSURE) == one
+        assert all(near[tag] == near[RegimeTag.MEMORY_AND_PRESSURE] for tag in RegimeTag) == one
 
 
 @pytest.mark.parametrize("gamma, beta", [(3.0, 2.0), (2.2, 3.0), (2.0, 3.2), (1.5, 3.0),
