@@ -4,8 +4,8 @@ Time loop (operator splitting per step):
 
   1. evaluate the laws at rho^n,
   2. pick dt = min(advective CFL cap cfl*dx/max(|u^{n-1}|, 1) of the
-     previous velocity (u = 0 on the first step), snapshot_every, time
-     remaining),
+     previous velocity (u = 0 on the first step), time remaining), which
+     snapshot_every leaves alone: snapshots only record the steps,
   3. solve the semi-stationary momentum system for u^n (directly in 1D,
      through the viscous flux in 2D) with the pressure linearised over dt
      (``solve_momentum(..., dt=dt)``), starting from the velocity
@@ -314,7 +314,6 @@ def build_scenario(config, grid):
 # -- time loop ----------------------------------------------------------------
 
 def _write_state_snapshots(outdir, state, grid):
-    os.makedirs(outdir, exist_ok=True)
     tag = f"step{state.step_count:06d}"
     write_snapshot(os.path.join(outdir, f"{tag}_rho.txt"), "rho", grid,
                    state.rho.data, state.t)
@@ -339,8 +338,8 @@ def run_simulation(config, outdir=None):
     its scenario are valid, and writes ``outdir/diagnostics.csv``
     (``write_diagnostics_csv``) when it ends with at least one record: every
     record on success, the partial list when any exception ends it.  With
-    config.snapshot_every > 0, field snapshots are written under
-    ``outdir/snapshots`` as the run goes.
+    config.snapshot_every > 0, the first step at or past each multiple of
+    it writes field snapshots under ``outdir/snapshots``.
     """
     grid = config.make_grid()
     params = config.law_params()
@@ -359,17 +358,17 @@ def run_simulation(config, outdir=None):
     next_snap = 0.0
     if outdir is not None and config.snapshot_every > 0.0:
         snap_dir = os.path.join(outdir, "snapshots")
+        os.makedirs(snap_dir, exist_ok=True)
 
     block = RecordBlock(grid, f, params)
     cap = stable_dt(state.u, grid, config.cfl)
-    snap_cap = config.snapshot_every if config.snapshot_every > 0.0 else math.inf
     # u^{n-2} and the steps taken, tau_{n-2} and tau_{n-1}, for the start
     u_prev = None
     tau_prev = tau = 0.0
     try:
         while True:
             done = state.t >= config.t_end - _TIME_EPS
-            dt = 0.0 if done else min(cap, snap_cap, config.t_end - state.t)
+            dt = 0.0 if done else min(cap, config.t_end - state.t)
             u0 = state.u
             if state.step_count >= 2:
                 u0 = FaceVectorField._trusted(
@@ -391,7 +390,8 @@ def run_simulation(config, outdir=None):
             if snap_dir is not None and state.t >= next_snap - _TIME_EPS:
                 block.flush()   # no snapshot after a failed record
                 _write_state_snapshots(snap_dir, state, grid)
-                next_snap += config.snapshot_every
+                next_snap = config.snapshot_every * (   # the next multiple past t
+                    math.floor((state.t + _TIME_EPS) / config.snapshot_every) + 1)
             if overflow is not None:
                 raise overflow
             if done:

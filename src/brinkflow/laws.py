@@ -171,29 +171,18 @@ def evaluate_laws(rho, params):
     eps, delta = params.epsilon, params.delta
     gamma, beta = params.gamma, params.beta
 
-    if delta == 0.0:
-        p, lam, big, h, dp = _exact_laws(rho_a, eps, gamma, beta)
-    else:
-        p = np.empty_like(rho_a)
-        lam = np.empty_like(rho_a)
-        big = np.empty_like(rho_a)
-        h = np.empty_like(rho_a)
-        dp = np.empty_like(rho_a)
-
-        exact = rho_a <= 1.0 - delta
-        p[exact], lam[exact], big[exact], h[exact], dp[exact] = _exact_laws(
-            rho_a[exact], eps, gamma, beta)
-
-        trunc = ~exact
-        rt = rho_a[trunc]
+    fields = _exact_laws(np.minimum(rho_a, 1.0 - delta), eps, gamma, beta)
+    if delta > 0.0:
+        # above the junction 1 - delta each law continues polynomially
         edge = 1.0 - delta
-        p[trunc] = eps * rt**gamma / delta**gamma
-        lam[trunc] = eps * rt**beta / delta**beta
-        h[trunc] = eps / ((gamma - 1.0) * delta**gamma) * (rt**gamma - edge**gamma * rt)
-        big[trunc] = eps / ((beta - 1.0) * delta**beta) * (rt**beta - edge**beta * rt)
-        dp[trunc] = eps * gamma * rt ** (gamma - 1.0) / delta**gamma
-
-    fields = (p, lam, big, h, dp)
+        truncated = (
+            eps * rho_a**gamma / delta**gamma,
+            eps * rho_a**beta / delta**beta,
+            eps / ((beta - 1.0) * delta**beta) * (rho_a**beta - edge**beta * rho_a),
+            eps / ((gamma - 1.0) * delta**gamma) * (rho_a**gamma - edge**gamma * rho_a),
+            eps * gamma * rho_a ** (gamma - 1.0) / delta**gamma,
+        )
+        fields = tuple(np.where(rho_a <= edge, e, t) for e, t in zip(fields, truncated))
     if scalar:
         return LawValues(*(float(a[0]) for a in fields))
     return LawValues(*fields)   # atleast_1d kept the shape of array input

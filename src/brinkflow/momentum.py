@@ -50,7 +50,8 @@ backward error of at most 1e-12.  It corrects its start, so its round-off
 scales with the start's residual (the 2D solve reaches about 1e-9 of it).
 The time loop therefore starts it from the velocity extrapolated linearly
 in time from its last two solves, which leaves about 1.5% of b where
-u^{n-1} leaves 9%.
+u^{n-1} leaves 9% in mild runs, but a median of 3.4 |b| at high contrast
+(2D ``rotation_squeeze``, n = 32, eps = 1e-4).
 """
 
 from __future__ import annotations

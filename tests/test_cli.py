@@ -5,6 +5,7 @@ configuration, 3 solver failure, 4 congestion overflow, 5 classification
 disagreement under --expect-theory.
 """
 
+import csv
 import dataclasses
 import inspect
 
@@ -204,13 +205,17 @@ def test_simulate_diagnostics_failure_keeps_earlier_rows(tmp_path, fail_diagnost
 
 
 def test_simulate_congestion_overflow_exit_code(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, OVERFLOW_CFG)
-    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
-    assert rc == 4
-    # partial diagnostics still land on disk for the post-mortem
-    csv_path = tmp_path / "out" / "diagnostics.csv"
-    assert csv_path.exists()
-    assert len(csv_path.read_text().splitlines()) >= 2
+    for snapshots in ("", "snapshot_every = 0.05\n"):
+        out = tmp_path / ("with_snapshots" if snapshots else "plain")
+        rc = main(["simulate", "--config", write_cfg(tmp_path, OVERFLOW_CFG + snapshots),
+                   "--out", str(out)])
+        assert rc == 4
+        # partial diagnostics still land on disk for the post-mortem: the
+        # overflowing step keeps its record, with the floor step it took,
+        # and its snapshot
+        rows = list(csv.DictReader((out / "diagnostics.csv").read_text().splitlines()))
+        assert len(rows) == 1 and float(rows[0]["dt"]) > 0.0
+        assert (out / "snapshots" / "step000000_rho.txt").exists() == bool(snapshots)
 
 
 def test_sweep_success_and_agreement(tmp_path, capsys):

@@ -47,6 +47,7 @@ from brinkflow import (
     sweep,
     write_diagnostics_csv,
     write_report,
+    write_snapshot,
 )
 from brinkflow.grid import face_coords
 
@@ -289,21 +290,65 @@ def test_run_simulation_writes_partial_records(tmp_path, stall_momentum):
     assert len(written.splitlines()) == 3   # header + the 2 records
 
 
-def test_snapshots_written(tmp_path):
-    from dataclasses import replace
-    cfg = replace(parse_config(BASE_TEXT), snapshot_every=0.02)
+@pytest.mark.parametrize("cfg", [
+    dataclasses.replace(parse_config(BASE_TEXT), snapshot_every=0.02),
+    # an odd n: the eigenbasis solves hold for any n
+    RunConfig(dim=2, n=15, t_end=0.1, epsilon=1e-2, gamma=2.0, beta=3.0,
+              scenario="rotation_squeeze", snapshot_every=0.05),
+], ids=["1d", "2d_odd_n"])
+def test_snapshots_written(cfg, tmp_path):
     run_simulation(cfg, outdir=str(tmp_path))
     snaps = sorted((tmp_path / "snapshots").glob("*_rho.txt"))
     assert len(snaps) >= 3
-    times = []
-    for path in snaps:
-        values, meta = read_snapshot(path)
-        assert values.shape == (16,)
-        times.append(meta["time"])
-    assert times[0] == 0.0
-    assert all(b > a for a, b in zip(times, times[1:]))
-    # velocity snapshots accompany the density ones
-    assert len(sorted((tmp_path / "snapshots").glob("*_u0.txt"))) == len(snaps)
+    # velocity snapshots, one per component, accompany the density ones
+    for name in ["rho", "big_lam"] + [f"u{a}" for a in range(cfg.dim)]:
+        paths = sorted((tmp_path / "snapshots").glob(f"*_{name}.txt"))
+        assert len(paths) == len(snaps)
+        times = []
+        for path in paths:
+            values, meta = read_snapshot(path)
+            assert values.shape == (cfg.n,) * cfg.dim
+            times.append(meta["time"])
+        assert times[0] == 0.0
+        assert all(b > a for a, b in zip(times, times[1:]))
+
+
+@pytest.mark.parametrize("cfg", [
+    RunConfig(dim=1, n=64, t_end=0.1, epsilon=1e-2, gamma=2.0, beta=3.0,
+              scenario="compression", scenario_params={"rho0": 0.6, "f0": 200.0}),
+    RunConfig(dim=2, n=16, t_end=0.2, epsilon=1e-2, gamma=2.0, beta=3.0,
+              scenario="rotation_squeeze",
+              scenario_params={"rho0": 0.6, "f0": 100.0, "rot": 20.0}),
+], ids=["1d_compression", "2d_rotation_squeeze"])
+def test_snapshots_do_not_change_the_run(cfg, tmp_path, monkeypatch):
+    # snapshots record the steps the physics picks: the records are the
+    # same bits with or without them, and each snapshot lands at the first
+    # step at or past a multiple of snapshot_every, one set per step at most
+    written = []
+
+    def recording(path, *args):
+        written.append(Path(path).name)
+        return write_snapshot(path, *args)
+
+    monkeypatch.setattr(brinkflow.harness, "write_snapshot", recording)
+    reference = None
+    for every in (0.0, 0.001, 0.03):
+        for outdir in (None, tmp_path / f"every_{every}"):
+            written.clear()
+            _, records = run_simulation(dataclasses.replace(cfg, snapshot_every=every),
+                                        outdir=outdir)
+            values = np.array([dataclasses.astuple(r) for r in records])
+            if reference is None:
+                reference = values
+            assert values.shape == reference.shape
+            assert values.tobytes() == reference.tobytes()
+            if outdir is None or every == 0.0:
+                assert written == []
+                continue
+            assert len(written) == len(set(written))
+            due = sorted({next(r.step for r in records if r.t >= k * every - 1e-12)
+                          for k in range(int(cfg.t_end / every + 1e-9) + 1)})
+            assert [int(name[4:10]) for name in written if name.endswith("_rho.txt")] == due
 
 
 def test_records_are_final_when_appended(tmp_path, monkeypatch):
@@ -497,10 +542,9 @@ def test_near_packing_compression_runs_to_the_end():
     # rho0 = 1 - 1e-13 puts the bulk coefficient of the 1D momentum solve
     # near 1e9 next to 2*mu = 1; the solve must stay accurate at that
     # contrast while the step cap keeps every cell short of packing
-    cfg = parse_config(OVERFLOW_TEXT.replace("0.9999999999\n", "0.9999999999999\n")
-                       .replace("t_end = 1.0", "t_end = 0.5"))
+    cfg = parse_config(OVERFLOW_TEXT.replace("0.9999999999\n", "0.9999999999999\n"))
     _, records = run_simulation(cfg)
-    assert records[-1].t == 0.5
+    assert records[-1].t == 1.0
     assert all(r.max_rho < 1.0 for r in records)
     assert max(r.flux_residual for r in records) < 1e-9
 
@@ -1037,8 +1081,9 @@ def test_sweep_header_holds_config_keys(tmp_path):
 
 
 def test_sweep_header_tells_snapshot_intervals_apart(tmp_path):
-    # snapshot times cap dt, so snapshot_every changes the runs: two sweeps
-    # that differ only in it must not have the same header
+    # the header records the whole configuration, outputs included: two
+    # sweeps that differ only in their snapshot interval (the same runs,
+    # other snapshots on disk) must not have the same header
     cfg = parse_config(BASE_TEXT)
     heads = []
     for every in (0.0, 0.01):
